@@ -316,22 +316,132 @@ type Core struct {
 	robMask uint64
 	robCap  int
 
-	// Hot-path counter handles: lazily bound pointers into Stats so the
-	// per-event cost is a nil check plus an increment instead of a
-	// string-keyed map operation. Bound on first increment, which preserves
-	// Stats' first-use key ordering and which-keys-exist semantics exactly.
-	nCommits, nRestricted, nDispatched, nDispatchStall, nCFIStall *uint64
-	nLoads, nStoresExec, nStoresCommitted, nBrCorrect, nBrMispred *uint64
-	nSquashes, nSquashedInsts                                     *uint64
+	// ctrs holds the core's counter handles (see ctr).
+	ctrs [numCtrs]*uint64
+
+	// Idle-issue record (skip.go): idleIssueAt is the cycle whose issue
+	// stage was idle — every ready entry visited and policy-blocked, nothing
+	// issued, no unit wait, no DoM block — and idleBlocked counts those
+	// blocked entries per reason. Valid only when idleIssueAt == cycle.
+	idleIssueAt    uint64
+	idleBlocked    [numBlockReasons]uint32
+	idleBlockedSum int
 }
 
-// bump increments a lazily-bound counter handle.
-func bump(h **uint64, s *stats.Set, key string) {
-	if *h == nil {
-		*h = s.Counter(key)
-	}
-	**h++
+// ctr identifies one core counter. Counters are lazily bound pointers into
+// Stats so the per-event cost is a nil check plus an increment instead of a
+// string-keyed map operation. Binding on first increment preserves Stats'
+// first-use key ordering and which-keys-exist semantics exactly.
+type ctr uint8
+
+const (
+	ctrCommits ctr = iota
+	ctrRestricted
+	ctrDispatched
+	ctrDispatchStall
+	ctrCFIStall
+	ctrLoads
+	ctrStoresExec
+	ctrStoresCommitted
+	ctrBrCorrect
+	ctrBrMispred
+	ctrSquashes
+	ctrSquashedInsts
+	ctrAtomics
+	ctrMDSStaleForwards
+	ctrMDUWaits
+	ctrForwardDenied
+	ctrSTLForwards
+	ctrFalloutBlocked
+	ctrFalloutForwards
+	ctrSTLDelays
+	ctrOrderViolations
+	ctrUnsafeReplays
+	ctrUnsafeAccesses
+	ctrFalloutReplays
+	ctrTagStores
+	ctrTagFaults
+	ctrAssistFaults
+	ctrChaosFlushes
+	ctrCFIBlockedIndirect
+	ctrCFIBlockedReturn
+	ctrCFIChecks
+	ctrMispredB
+	ctrMispredBL
+	ctrMispredBCC
+	ctrMispredCBZ
+	ctrMispredCBNZ
+	ctrMispredBR
+	ctrMispredBLR
+	ctrMispredRET
+	// One per blockReason, in blockReason order (see blockReason.ctr).
+	ctrBlockAtomic
+	ctrBlockFence
+	ctrBlockSTT
+	ctrBlockDelayAll
+	ctrBlockDoM
+	numCtrs
+)
+
+var ctrNames = [numCtrs]string{
+	ctrCommits:            "commits",
+	ctrRestricted:         "restricted_commits",
+	ctrDispatched:         "dispatched",
+	ctrDispatchStall:      "dispatch_stall_cycles",
+	ctrCFIStall:           "fetch_cfi_stall_cycles",
+	ctrLoads:              "loads_issued",
+	ctrStoresExec:         "stores_executed",
+	ctrStoresCommitted:    "stores_committed",
+	ctrBrCorrect:          "branches_correct",
+	ctrBrMispred:          "branches_mispredicted",
+	ctrSquashes:           "squashes",
+	ctrSquashedInsts:      "squashed_insts",
+	ctrAtomics:            "atomics",
+	ctrMDSStaleForwards:   "mds_stale_forwards",
+	ctrMDUWaits:           "mdu_waits",
+	ctrForwardDenied:      "forward_denied",
+	ctrSTLForwards:        "stl_forwards",
+	ctrFalloutBlocked:     "fallout_blocked",
+	ctrFalloutForwards:    "fallout_forwards",
+	ctrSTLDelays:          "stl_delays",
+	ctrOrderViolations:    "order_violations",
+	ctrUnsafeReplays:      "unsafe_replays",
+	ctrUnsafeAccesses:     "unsafe_accesses",
+	ctrFalloutReplays:     "fallout_replays",
+	ctrTagStores:          "tag_stores",
+	ctrTagFaults:          "tag_faults",
+	ctrAssistFaults:       "assist_faults",
+	ctrChaosFlushes:       "chaos_flushes",
+	ctrCFIBlockedIndirect: "cfi_blocked_indirect",
+	ctrCFIBlockedReturn:   "cfi_blocked_return",
+	ctrCFIChecks:          "cfi_checks",
+	ctrMispredB:           "mispred_B",
+	ctrMispredBL:          "mispred_BL",
+	ctrMispredBCC:         "mispred_B.", // matches isa.BCC.String()
+	ctrMispredCBZ:         "mispred_CBZ",
+	ctrMispredCBNZ:        "mispred_CBNZ",
+	ctrMispredBR:          "mispred_BR",
+	ctrMispredBLR:         "mispred_BLR",
+	ctrMispredRET:         "mispred_RET",
+	ctrBlockAtomic:        "policy_block_atomic",
+	ctrBlockFence:         "policy_block_fence",
+	ctrBlockSTT:           "policy_block_stt",
+	ctrBlockDelayAll:      "policy_block_delay_all",
+	ctrBlockDoM:           "policy_block_dom",
 }
+
+// add increments counter id by n, binding its handle on first use.
+func (c *Core) add(id ctr, n uint64) {
+	h := c.ctrs[id]
+	if h == nil {
+		h = c.Stats.Counter(ctrNames[id])
+		c.ctrs[id] = h
+	}
+	*h += n
+}
+
+// inc increments counter id by one.
+func (c *Core) inc(id ctr) { c.add(id, 1) }
 
 type fetchedInst struct {
 	pc         uint64
@@ -609,7 +719,12 @@ func (c *Core) trace(format string, args ...any) {
 func (c *Core) Cycle() uint64 { return c.cycle }
 
 // Committed returns the number of committed instructions.
-func (c *Core) Committed() uint64 { return c.Stats.Get("commits") }
+func (c *Core) Committed() uint64 {
+	if h := c.ctrs[ctrCommits]; h != nil {
+		return *h
+	}
+	return 0
+}
 
 // Reg reads a committed architectural register (after halt).
 func (c *Core) Reg(r isa.Reg) uint64 {
@@ -681,6 +796,6 @@ func (c *Core) ChaosFlush() bool {
 		target = e.actualNext
 	}
 	c.squashAfter(e.seq, target)
-	c.Stats.Inc("chaos_flushes")
+	c.inc(ctrChaosFlushes)
 	return true
 }

@@ -138,7 +138,7 @@ func (c *Core) executeStore(e *robEntry) {
 		c.markRisk(e)
 	}
 	c.setDone(e, c.cycle+1)
-	bump(&c.nStoresExec, c.Stats, "stores_executed")
+	c.inc(ctrStoresExec)
 	if c.TraceFn != nil {
 		c.trace("cycle %d: store seq=%d pc=%#x addr=%#x data=%#x tagOK=%v",
 			c.cycle, e.seq, e.pc, mte.Strip(e.addr), e.storeData, e.tagOK)
@@ -171,7 +171,7 @@ func (c *Core) executeAtomic(e *robEntry) {
 	c.img.WriteU64(a, newVal)
 	e.result, e.hasResult = old, true
 	c.setDone(e, res.ReadyAt)
-	c.Stats.Inc("atomics")
+	c.inc(ctrAtomics)
 }
 
 // olderStoreScan classifies the relationship between a load and the store
@@ -315,7 +315,7 @@ func (c *Core) executeLoad(e *robEntry) {
 				e.secret = true
 				c.oracle.SecretReads++
 			}
-			c.Stats.Inc("mds_stale_forwards")
+			c.inc(ctrMDSStaleForwards)
 		}
 		return
 	}
@@ -326,7 +326,7 @@ func (c *Core) executeLoad(e *robEntry) {
 	case fwdWait, fwdDepWait:
 		e.state = stDispatched // retry next cycle
 		if dec == fwdDepWait {
-			c.Stats.Inc("mdu_waits")
+			c.inc(ctrMDUWaits)
 		}
 		return
 	case fwdData:
@@ -336,7 +336,7 @@ func (c *Core) executeLoad(e *robEntry) {
 		if c.specChecks && !c.tsh.OnForward(e.seq, keysMatch) {
 			e.state = stWaitUnsafe
 			c.onUnsafeAccess(e)
-			c.Stats.Inc("forward_denied")
+			c.inc(ctrForwardDenied)
 			return
 		}
 		if !c.specChecks {
@@ -350,7 +350,7 @@ func (c *Core) executeLoad(e *robEntry) {
 			e.secret = true
 		}
 		c.setDone(e, c.cycle+2)
-		c.Stats.Inc("stl_forwards")
+		c.inc(ctrSTLForwards)
 		return
 	case fwdFallout:
 		if c.TraceFn != nil {
@@ -360,7 +360,7 @@ func (c *Core) executeLoad(e *robEntry) {
 			// SpecASan checks tags before any forward: a partial match
 			// cannot validate, so the false forward never happens; the
 			// load proceeds to the cache below.
-			c.Stats.Inc("fallout_blocked")
+			c.inc(ctrFalloutBlocked)
 		} else {
 			// Baseline WTF behaviour: wrong-store data transiently
 			// forwarded; the load is re-executed (squash) when the store
@@ -379,7 +379,7 @@ func (c *Core) executeLoad(e *robEntry) {
 				c.oracle.SecretReads++
 			}
 			c.setDone(e, c.cycle+2)
-			c.Stats.Inc("fallout_forwards")
+			c.inc(ctrFalloutForwards)
 			return
 		}
 	}
@@ -397,7 +397,7 @@ func (c *Core) executeLoad(e *robEntry) {
 				Core: c.ID, Ptr: e.addr, Size: size, Now: c.cycle,
 				Spec: true, BlockUnsafe: true,
 			})
-			c.Stats.Inc("stl_delays")
+			c.inc(ctrSTLDelays)
 		}
 		e.policyDelayed = true
 		e.state = stDispatched // retry until the stores resolve
@@ -425,7 +425,7 @@ func (c *Core) executeLoad(e *robEntry) {
 		// the response arrives, and data cannot be released until then.
 		e.doneAt += lateTagCheckPenalty
 	}
-	bump(&c.nLoads, c.Stats, "loads_issued")
+	c.inc(ctrLoads)
 	if c.TraceFn != nil {
 		c.trace("cycle %d: load seq=%d pc=%#x addr=%#x key=%d lock=%d tagOK=%v spec=%v served=%s ready=%d blocked=%v",
 			c.cycle, e.seq, e.pc, mte.Strip(e.addr), mte.Key(e.addr), res.Lock,
@@ -472,7 +472,7 @@ func (c *Core) checkOrderViolation(st *robEntry) bool {
 		}
 		if rangesOverlap(mte.Strip(e.addr), e.inst.MemBytes(), sa, ssize) {
 			c.trainMDU(e.pc, true)
-			c.Stats.Inc("order_violations")
+			c.inc(ctrOrderViolations)
 			// Squash from the violating load (inclusive) and refetch it.
 			c.squashAfter(e.seq-1, e.pc)
 			return true
@@ -572,5 +572,5 @@ func (c *Core) replayUnsafe(e *robEntry) {
 	c.obsRecord(e.seq, e.pc, obs.EvMem, mte.Strip(e.addr))
 	e.state = stWaitMem
 	e.doneAt = res.ReadyAt + c.cfg.BroadcastLatency
-	c.Stats.Inc("unsafe_replays")
+	c.inc(ctrUnsafeReplays)
 }

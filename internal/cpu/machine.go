@@ -26,7 +26,7 @@ func (c *Core) commitStore(e *robEntry) {
 			Core: c.ID, Ptr: e.addr, Size: in.MemBytes(), Write: true, Now: c.cycle,
 		})
 		c.img.WriteUint(mte.Strip(e.addr), e.storeData, in.MemBytes())
-		bump(&c.nStoresCommitted, c.Stats, "stores_committed")
+		c.inc(ctrStoresCommitted)
 		// WTF closing edge: younger loads that took the partial-match
 		// forward from this store re-execute via squash. The store's
 		// fallout-consumer list (filled at forward time) makes this
@@ -45,18 +45,18 @@ func (c *Core) commitStore(e *robEntry) {
 			}
 		}
 		if oldest != nil {
-			c.Stats.Inc("fallout_replays")
+			c.inc(ctrFalloutReplays)
 			c.squashAfter(oldest.seq-1, oldest.pc)
 			return
 		}
 	case isa.STG:
 		c.img.Tags.SetLock(e.addr, mte.Key(e.storeData))
-		c.Stats.Inc("tag_stores")
+		c.inc(ctrTagStores)
 	case isa.ST2G:
 		t := mte.Key(e.storeData)
 		c.img.Tags.SetLock(e.addr, t)
 		c.img.Tags.SetLock(mte.AlignGranule(e.addr)+mte.GranuleBytes, t)
-		c.Stats.Inc("tag_stores")
+		c.inc(ctrTagStores)
 	case isa.SWPAL:
 		// performed at execute (head-of-ROB); nothing to do
 	}

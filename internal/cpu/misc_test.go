@@ -57,3 +57,37 @@ loop:
 		t.Fatalf("output = %q", got)
 	}
 }
+
+// The counter table must name every counter exactly once, and each branch
+// op's mispredict counter must carry the "mispred_" + mnemonic key that
+// result consumers read.
+func TestCounterTableNames(t *testing.T) {
+	seen := map[string]ctr{}
+	for id := ctr(0); id < numCtrs; id++ {
+		name := ctrNames[id]
+		if name == "" {
+			t.Errorf("counter %d has no name", id)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("counters %d and %d share the name %q", prev, id, name)
+		}
+		seen[name] = id
+	}
+	for _, op := range []isa.Op{isa.B, isa.BL, isa.BCC, isa.CBZ, isa.CBNZ, isa.BR, isa.BLR, isa.RET} {
+		if got, want := ctrNames[mispredCtr(op)], "mispred_"+op.String(); got != want {
+			t.Errorf("%v mispredict counter = %q, want %q", op, got, want)
+		}
+	}
+	want := [numBlockReasons]string{
+		blockAtomic:   "policy_block_atomic",
+		blockFence:    "policy_block_fence",
+		blockSTT:      "policy_block_stt",
+		blockDelayAll: "policy_block_delay_all",
+		blockDoM:      "policy_block_dom",
+	}
+	for r := blockAtomic; r < numBlockReasons; r++ {
+		if got := ctrNames[r.ctr()]; got != want[r] {
+			t.Errorf("block reason %d counts into %q, want %q", r, got, want[r])
+		}
+	}
+}

@@ -135,7 +135,7 @@ func (c *Core) fetch() {
 	}
 	if c.fetchBlockedBy != 0 {
 		if c.entry(c.fetchBlockedBy) != nil {
-			bump(&c.nCFIStall, c.Stats, "fetch_cfi_stall_cycles")
+			c.inc(ctrCFIStall)
 			return // still waiting for the branch to resolve
 		}
 		c.fetchBlockedBy = 0
@@ -199,7 +199,7 @@ func (c *Core) fetch() {
 				c.fqCount++
 				c.obsRecord(0, fi.pc, obs.EvFetch, 0)
 				c.fetchBlockedBy = ^uint64(0)
-				c.Stats.Inc("cfi_blocked_indirect")
+				c.inc(ctrCFIBlockedIndirect)
 				return
 			}
 		case isa.RET:
@@ -223,7 +223,7 @@ func (c *Core) fetch() {
 					c.fqCount++
 					c.obsRecord(0, fi.pc, obs.EvFetch, 0)
 					c.fetchBlockedBy = ^uint64(0)
-					c.Stats.Inc("cfi_blocked_return")
+					c.inc(ctrCFIBlockedReturn)
 					return
 				}
 				c.shadowStack = c.shadowStack[:len(c.shadowStack)-1]
@@ -252,7 +252,7 @@ func (c *Core) fetch() {
 				// (Returns are validated against the shadow stack
 				// register-side and need no bubble when they agree.)
 				c.fetchStallTo = c.cycle + 3
-				c.Stats.Inc("cfi_checks")
+				c.inc(ctrCFIChecks)
 			}
 			return // one taken branch per fetch group
 		}
@@ -275,7 +275,7 @@ func (c *Core) shadowTopMatches(t uint64) bool {
 func (c *Core) dispatch() {
 	for n := 0; n < c.cfg.IssueWidth && c.fqLen() > 0; n++ {
 		if c.robCount() >= c.robCap || c.iqCount >= c.cfg.IQEntries {
-			bump(&c.nDispatchStall, c.Stats, "dispatch_stall_cycles")
+			c.inc(ctrDispatchStall)
 			return
 		}
 		fi := &c.fetchQ[c.fqHead]
@@ -368,7 +368,7 @@ func (c *Core) dispatch() {
 		if fi.stallOnResolve {
 			c.fetchBlockedBy = seq // fetch resumes when this branch resolves
 		}
-		bump(&c.nDispatched, c.Stats, "dispatched")
+		c.inc(ctrDispatched)
 	}
 }
 
@@ -473,7 +473,14 @@ func (c *Core) issue() {
 	// for every issued instruction). A squash inside startExecution only
 	// seqRemoves younger entries, which sort after index i, so both
 	// cursors stay valid.
+	//
+	// The pass also decides whether this cycle's issue was idle: every kept
+	// entry policy-blocked by a gate other than DoM, nothing issued, no unit
+	// wait. Idle issue with the blocked counts recorded lets nextEventCycle
+	// skip a non-empty ready queue (skip.go).
 	issued := 0
+	busy := false // an entry waits on a unit, or DoM blocked one
+	var blocked [numBlockReasons]uint32
 	i, w := 0, 0
 	for ; i < len(c.readyQ) && issued < c.cfg.IssueWidth; i++ {
 		seq := c.readyQ[i]
@@ -485,14 +492,17 @@ func (c *Core) issue() {
 			}
 			continue
 		}
-		if blocked, key := c.policyBlocksIssue(e); blocked {
+		if r := c.policyBlocksIssue(e); r != blockNone {
 			e.policyDelayed = true
-			c.Stats.Inc(key)
+			c.inc(r.ctr())
+			blocked[r]++
+			busy = busy || r == blockDoM
 			c.readyQ[w] = seq
 			w++
 			continue
 		}
 		if !c.unitAvailable(e) {
+			busy = true
 			c.readyQ[w] = seq
 			w++
 			continue
@@ -515,6 +525,11 @@ func (c *Core) issue() {
 	if w != i {
 		n := copy(c.readyQ[w:], c.readyQ[i:])
 		c.readyQ = c.readyQ[:w+n]
+	}
+	if issued == 0 && !busy && w > 0 {
+		c.idleIssueAt = c.cycle
+		c.idleBlocked = blocked
+		c.idleBlockedSum = w
 	}
 }
 
@@ -760,14 +775,14 @@ func (c *Core) resolveBranch(e *robEntry) (mispredicted bool) {
 		}
 	}
 	if correct {
-		bump(&c.nBrCorrect, c.Stats, "branches_correct")
+		c.inc(ctrBrCorrect)
 		// The link-register result becomes visible now (doneAt <= cycle);
 		// wake dependents exactly when the old polling would have seen it.
 		c.fireConsumers(e)
 		return false
 	}
-	bump(&c.nBrMispred, c.Stats, "branches_mispredicted")
-	c.Stats.Inc(mispredKey(in.Op))
+	c.inc(ctrBrMispred)
+	c.inc(mispredCtr(in.Op))
 	// Every registered consumer is younger and about to be squashed; drop
 	// them so the seqs cannot alias to re-dispatched instructions.
 	e.consumers = e.consumers[:0]
@@ -775,28 +790,27 @@ func (c *Core) resolveBranch(e *robEntry) (mispredicted bool) {
 	return true
 }
 
-// mispredKey returns the per-op mispredict counter name without building the
-// string in the hot path.
-func mispredKey(op isa.Op) string {
+// mispredCtr returns the per-op mispredict counter. The cases are exactly
+// the ops isa.Classify puts in ClassBranch/ClassIndirect, the only ones
+// resolveBranch sees.
+func mispredCtr(op isa.Op) ctr {
 	switch op {
 	case isa.B:
-		return "mispred_B"
+		return ctrMispredB
 	case isa.BL:
-		return "mispred_BL"
+		return ctrMispredBL
 	case isa.BCC:
-		return "mispred_B." // matches isa.BCC.String()
+		return ctrMispredBCC
 	case isa.CBZ:
-		return "mispred_CBZ"
+		return ctrMispredCBZ
 	case isa.CBNZ:
-		return "mispred_CBNZ"
+		return ctrMispredCBNZ
 	case isa.BR:
-		return "mispred_BR"
+		return ctrMispredBR
 	case isa.BLR:
-		return "mispred_BLR"
-	case isa.RET:
-		return "mispred_RET"
+		return ctrMispredBLR
 	}
-	return "mispred_" + op.String()
+	return ctrMispredRET
 }
 
 // restoreRAT unwinds the rename map table for a squash keeping boundary as
@@ -855,7 +869,7 @@ func (c *Core) squashAfter(seq uint64, target uint64) {
 	if c.cfiOn {
 		c.shadowStack = c.shadowStack[:0]
 	}
-	bump(&c.nSquashes, c.Stats, "squashes")
+	c.inc(ctrSquashes)
 	if c.TraceFn != nil {
 		c.trace("cycle %d: squash younger than seq=%d, refetch %#x", c.cycle, seq, target)
 	}
@@ -935,7 +949,7 @@ func (c *Core) releaseEntry(e *robEntry, squashed bool) {
 			c.hier.DropGhost(c.ID, e.addr)
 		}
 		c.promoteCandidates(e.seq)
-		bump(&c.nSquashedInsts, c.Stats, "squashed_insts")
+		c.inc(ctrSquashedInsts)
 	} else {
 		// Commit: this entry's map-table claims revert to the committed
 		// register file.
@@ -990,9 +1004,9 @@ func (c *Core) commit() {
 		c.releaseEntry(e, false)
 		c.headSeq++
 		c.lastCommitCycle = c.cycle
-		bump(&c.nCommits, c.Stats, "commits")
+		c.inc(ctrCommits)
 		if e.policyDelayed {
-			bump(&c.nRestricted, c.Stats, "restricted_commits")
+			c.inc(ctrRestricted)
 		}
 		if c.Halted || c.Faulted {
 			return
@@ -1064,9 +1078,9 @@ func formatInt(v uint64) string {
 func (c *Core) raiseFault(e *robEntry) {
 	if e.faultIsTag {
 		c.tsh.OnFault(e.seq)
-		c.Stats.Inc("tag_faults")
+		c.inc(ctrTagFaults)
 	} else {
-		c.Stats.Inc("assist_faults")
+		c.inc(ctrAssistFaults)
 	}
 	// The faulting instruction and everything younger is squashed; its
 	// transient dependents' candidate events become real leaks.

@@ -7,18 +7,39 @@ import (
 	"specasan/internal/obs"
 )
 
-// policyBlocksIssue applies the active mitigation's issue-time gates.
-// SpecASan itself never blocks here (its selective delay happens at the
-// memory response); the gates below model the defences the paper compares
-// against, plus the delay-all ablation of SpecASan. The returned reason is
-// the full stat key (constants, not built by concatenation: this runs every
-// cycle for every blocked entry and must not allocate).
-func (c *Core) policyBlocksIssue(e *robEntry) (bool, string) {
+// blockReason names the issue-time gate holding a ready entry back.
+type blockReason uint8
+
+const (
+	blockNone blockReason = iota
+	blockAtomic
+	blockFence
+	blockSTT
+	blockDelayAll
+	blockDoM
+	numBlockReasons
+)
+
+// ctr returns the policy_block_* counter for r (r != blockNone).
+func (r blockReason) ctr() ctr { return ctrBlockAtomic + ctr(r-blockAtomic) }
+
+// policyBlocksIssue applies the active mitigation's issue-time gates and
+// returns the first one that holds e back, or blockNone. SpecASan itself
+// never blocks here (its selective delay happens at the memory response);
+// the gates below model the defences the paper compares against, plus the
+// delay-all ablation of SpecASan.
+//
+// Every gate but DoM is a pure function of older in-flight state (head
+// position, unresolved branches, older completions, store addresses, taint
+// roots), which changes only at events nextEventCycle tracks — so an idle
+// issue's verdicts hold across a skipped span (skip.go). DoM's probe reads
+// LFB fill timing, which no core event tracks.
+func (c *Core) policyBlocksIssue(e *robEntry) blockReason {
 	in := e.inst
 
 	// Structural, not a mitigation: atomics and barriers run at the head.
 	if in.Op == isa.SWPAL && (e.seq != c.headSeq || c.speculative(e)) {
-		return true, "policy_block_atomic"
+		return blockAtomic
 	}
 
 	// Speculative barriers (lfence-style): a load issues only when every
@@ -26,7 +47,7 @@ func (c *Core) policyBlocksIssue(e *robEntry) (bool, string) {
 	// before each memory access (the delay-ACCESS defence class of
 	// Figure 1).
 	if c.fenceOn && e.isLoad && c.olderIncomplete(e.seq) {
-		return true, "policy_block_fence"
+		return blockFence
 	}
 
 	// STT: "transmit" instructions with tainted operands are delayed until
@@ -36,7 +57,7 @@ func (c *Core) policyBlocksIssue(e *robEntry) (bool, string) {
 	if c.taintOn {
 		transmit := e.isLoad || e.isStore || e.isBranch
 		if transmit && c.entryTainted(e) != 0 {
-			return true, "policy_block_stt"
+			return blockSTT
 		}
 	}
 
@@ -49,7 +70,7 @@ func (c *Core) policyBlocksIssue(e *robEntry) (bool, string) {
 			rm, _ = c.readSource2(e, in.Rm)
 		}
 		if mte.Key(isa.EffAddr(in, rn, rm)) != 0 {
-			return true, "policy_block_delay_all"
+			return blockDelayAll
 		}
 	}
 
@@ -67,10 +88,10 @@ func (c *Core) policyBlocksIssue(e *robEntry) (bool, string) {
 		}
 		c.enterShared()
 		if !c.hier.Probe(c.ID, isa.EffAddr(in, rn, rm), c.cycle, c.domLFBHit) {
-			return true, "policy_block_dom"
+			return blockDoM
 		}
 	}
-	return false, ""
+	return blockNone
 }
 
 // onUnsafeAccess reacts to an SSA=0 signal: the ROB holds the unsafe access
@@ -85,7 +106,7 @@ func (c *Core) onUnsafeAccess(e *robEntry) {
 		e.unsafeSince = c.cycle
 		c.obsRecord(e.seq, e.pc, obs.EvTagDelayStart, 0)
 	}
-	c.Stats.Inc("unsafe_accesses")
+	c.inc(ctrUnsafeAccesses)
 	for s := e.seq + 1; s < c.nextSeq; s++ {
 		d := &c.rob[s&c.robMask]
 		if !d.valid {

@@ -3,7 +3,8 @@ package cpu
 // Event-driven idle-cycle skipping.
 //
 // A cycle is *idle* for a core when its Tick would change nothing except the
-// two per-cycle stall counters (dispatch_stall_cycles, fetch_cfi_stall_cycles).
+// per-cycle stall counters (dispatch_stall_cycles, fetch_cfi_stall_cycles,
+// and policy_block_* for ready entries an issue gate holds back).
 // nextEventCycle computes a conservative lower bound on the first non-idle
 // cycle; Machine.skipIdle jumps simulated time to the minimum across running
 // cores and adds the stall counters analytically for the cycles it skipped,
@@ -20,7 +21,15 @@ package cpu
 //   - wakeup:   wakeQ[0].at (heap pops are (at,seq)-total-ordered, so pop
 //     *timing* cannot reorder effects)
 //   - issue:    a non-empty readyQ touches state every cycle (port retries,
-//     policy-block stats, stale splices) → no skip
+//     stale splices, issuing) → no skip, unless this cycle's issue was idle
+//     (every entry policy-blocked by a gate other than DoM, none issued,
+//     none waiting on a unit) and dispatch pushed nothing after it. Those
+//     gates read only older in-flight state — head position, unresolved
+//     branches, older completions (each a doneAt wake), store addresses,
+//     taint roots — which changes only at the events listed here, so each
+//     entry stays blocked for the same reason until the next event; the
+//     per-reason policy_block_* counts are added analytically. DoM's probe
+//     reads LFB fill timing, which no core event tracks → no skip
 //   - dispatch: would-dispatch → no skip; stalled dispatch only burns the
 //     stall counter, and its unblocking is a commit/issue event seen above
 //   - fetch:    resumes at fetchStallTo when unblocked; a dead or sentinel
@@ -60,8 +69,10 @@ func (c *Core) nextEventCycle() uint64 {
 	}
 
 	// issue: a non-empty ready queue does per-cycle work (unit retries,
-	// policy-block stats, stale-entry splices).
-	if len(c.readyQ) > 0 {
+	// stale-entry splices, issuing) unless this cycle's issue was idle and
+	// dispatch has pushed nothing since: then every entry stays blocked,
+	// for the same reason, until one of the events below.
+	if len(c.readyQ) > 0 && (c.idleIssueAt != now || len(c.readyQ) != c.idleBlockedSum) {
 		return now + 1
 	}
 
@@ -173,12 +184,19 @@ func (c *Core) nextEventCycle() uint64 {
 func (c *Core) accountSkippedStalls(target uint64) {
 	now := c.cycle
 	skipped := target - 1 - now
+	// issue: each blocked ready entry bumps its policy_block_* counter once
+	// per cycle (nextEventCycle admits a non-empty queue only after an idle
+	// issue this cycle, so the recorded counts are current).
+	if len(c.readyQ) > 0 {
+		for r := blockAtomic; r < numBlockReasons; r++ {
+			if n := c.idleBlocked[r]; n > 0 {
+				c.add(r.ctr(), uint64(n)*skipped)
+			}
+		}
+	}
 	// dispatch: one bump per cycle while instructions wait on a full ROB/IQ.
 	if c.fqLen() > 0 && (c.robCount() >= c.robCap || c.iqCount >= c.cfg.IQEntries) {
-		if c.nDispatchStall == nil {
-			c.nDispatchStall = c.Stats.Counter("dispatch_stall_cycles")
-		}
-		*c.nDispatchStall += skipped
+		c.add(ctrDispatchStall, skipped)
 	}
 	// fetch: one bump per cycle with queue space, the stall window expired,
 	// and a live blocking branch — fetch checks in exactly that order.
@@ -189,10 +207,7 @@ func (c *Core) accountSkippedStalls(target uint64) {
 			from = c.fetchStallTo
 		}
 		if target > from {
-			if c.nCFIStall == nil {
-				c.nCFIStall = c.Stats.Counter("fetch_cfi_stall_cycles")
-			}
-			*c.nCFIStall += target - from
+			c.add(ctrCFIStall, target-from)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"specasan/internal/core"
@@ -14,8 +15,10 @@ import (
 // TestSkipIdleSweepByteIdentical is the exactness contract of event-driven
 // idle-cycle skipping: a sweep with skipping on must be byte-identical to
 // the same sweep walking every cycle — results, the full per-cell counter
-// sets (including the analytically-accounted stall counters), the verbose
-// log, the JSONL metrics stream, and a Chrome trace of a cell.
+// sets (including the analytically-accounted stall and policy-block
+// counters), the verbose log, the JSONL metrics stream, and Chrome traces of
+// a SpecASan cell and of a SpecBarrier cell, whose loads wait in the ready
+// queue policy-blocked across skipped spans.
 func TestSkipIdleSweepByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -30,29 +33,36 @@ func TestSkipIdleSweepByteIdentical(t *testing.T) {
 			t.Fatal("workload missing")
 		}
 	}
-	mits := []core.Mitigation{core.Unsafe, core.Fence, core.SpecASan}
+	mits := []core.Mitigation{core.Unsafe, core.Fence, core.STT, core.GhostMinion, core.SpecASan}
+	traced := []core.Mitigation{core.SpecASan, core.Fence}
 
 	run := func(noSkip bool) string {
 		var log, metrics bytes.Buffer
-		var tr *obs.Tracer
+		var mu sync.Mutex // Attach runs on the sweep's worker pool
+		trs := map[core.Mitigation]*obs.Tracer{}
 		opt := Options{
 			Scale: 0.02, MaxCycles: 50_000_000,
 			Verbose: true, Log: &log,
 			Metrics:    &metrics,
 			NoSkipIdle: noSkip,
 			Attach: func(bench string, mit core.Mitigation, m *cpu.Machine) {
-				if bench == "505.mcf_r" && mit == core.SpecASan {
-					tr = obs.NewTracer(len(m.Cores), 0)
-					m.AttachObs(tr, nil)
+				if bench != "505.mcf_r" {
+					return
+				}
+				for _, tm := range traced {
+					if mit == tm {
+						tr := obs.NewTracer(len(m.Cores), 0)
+						mu.Lock()
+						trs[mit] = tr
+						mu.Unlock()
+						m.AttachObs(tr, nil)
+					}
 				}
 			},
 		}
 		sw, err := RunSweep(specs, mits, opt)
 		if err != nil {
 			t.Fatalf("noSkip=%v: %v", noSkip, err)
-		}
-		if tr == nil {
-			t.Fatalf("noSkip=%v: traced cell never ran", noSkip)
 		}
 		var b bytes.Buffer
 		b.WriteString(sweepFingerprint(sw, &log))
@@ -64,8 +74,15 @@ func TestSkipIdleSweepByteIdentical(t *testing.T) {
 			}
 		}
 		fmt.Fprintf(&b, "--- metrics ---\n%s", metrics.String())
-		if err := obs.WriteChromeTrace(&b, tr); err != nil {
-			t.Fatal(err)
+		for _, mit := range traced {
+			tr := trs[mit]
+			if tr == nil {
+				t.Fatalf("noSkip=%v: traced %v cell never ran", noSkip, mit)
+			}
+			fmt.Fprintf(&b, "--- %v trace ---\n", mit)
+			if err := obs.WriteChromeTrace(&b, tr); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return b.String()
 	}
