@@ -9,11 +9,10 @@
 //	-perf    measure the simulator itself and write BENCH_sim.json
 //
 // Sweeps run their cells on a bounded worker pool (-workers, default
-// GOMAXPROCS); output is byte-identical to -workers=1. Within one machine,
-// -parallel-cores steps simulated cores on their own goroutines (also
-// byte-identical to serial). The -perf sweep legs take their pool size from
-// -sweep-workers, recorded in the report. -cpuprofile and -memprofile
-// capture stdlib pprof profiles of the run.
+// GOMAXPROCS); output is byte-identical to -workers=1. Within one machine the
+// simulated cores step serially in core-ID order. The -perf sweep legs take
+// their pool size from -sweep-workers, recorded in the report. -cpuprofile
+// and -memprofile capture stdlib pprof profiles of the run.
 package main
 
 import (
@@ -51,8 +50,6 @@ func main() {
 	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	sweepWorkers := flag.Int("sweep-workers", 0,
 		"worker pool size for the -perf sweep legs (0 = GOMAXPROCS); the resolved value is recorded in the report")
-	parallelCores := flag.Int("parallel-cores", 0,
-		"intra-machine core stepping: 0 = auto (goroutine per simulated core when GOMAXPROCS > 1), 1 = force serial, >= 2 = force parallel; results are bit-identical either way")
 	traceCell := flag.String("trace", "", "record a Chrome trace of one sweep cell, named benchmark/mitigation (e.g. 505.mcf_r/SpecASan)")
 	traceOut := flag.String("trace-out", "trace.json", "where -trace writes its Chrome trace-event JSON")
 	metricsOut := flag.String("metrics-out", "", "write per-cell metrics records (JSONL, cell order) to this file")
@@ -67,10 +64,6 @@ func main() {
 		"instructions per detailed window for -sample-windows")
 	warmupCycles := flag.Uint64("warmup-cycles", 0,
 		"detailed warmup cycles excluded before each sampled measurement (0 = default 2000)")
-	traceRecord := flag.Bool("trace-record", false,
-		"for -scenario sweeps with -store: record each cell's workload build as a replayable trace if one is not stored yet (the run itself still live-decodes)")
-	traceReplay := flag.Bool("trace-replay", false,
-		"for -scenario sweeps with -store: fetch through recorded traces instead of assembling (bit-identical results; errors on a missing trace unless -trace-record is also set)")
 	storeDir := flag.String("store", "",
 		"result-store directory for -scenario sweeps: verified cached cells are served without simulating, cold cells persist (ignored by -fig/-all/-perf, which are pinned measurements)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0,
@@ -94,14 +87,11 @@ func main() {
 	opt.Verbose = *verbose
 	opt.Log = os.Stderr
 	opt.Workers = *workers
-	opt.ParallelCores = *parallelCores
 	opt.NoSkipIdle = !*skipIdle
 	opt.FastForwardInsts = *fastForward
 	opt.SampleWindows = *sampleWindows
 	opt.SampleWindowInsts = *sampleWindowInsts
 	opt.WarmupCycles = *warmupCycles
-	opt.TraceRecord = *traceRecord
-	opt.TraceReplay = *traceReplay
 
 	if *metricsOut != "" {
 		f, err := os.Create(*metricsOut)
@@ -150,9 +140,6 @@ func main() {
 		if *fig != 0 || *all || *perf {
 			fatal(fmt.Errorf("-scenario is a complete sweep description; combine overrides into the scenario instead of -fig/-all/-perf"))
 		}
-		if (*traceRecord || *traceReplay) && *storeDir == "" {
-			fatal(fmt.Errorf("-trace-record/-trace-replay need -store (traces live in the artifact store)"))
-		}
 		if *storeDir != "" {
 			st, err := store.Open(*storeDir)
 			if err != nil {
@@ -168,7 +155,6 @@ func main() {
 					removed, freed, *storeMaxBytes)
 			}
 			opt.Store = harness.DiskCellStore{S: st}
-			opt.Artifacts = st
 		}
 		explicit := map[string]bool{}
 		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
@@ -180,12 +166,6 @@ func main() {
 		// the simulator itself; serving any of them from a cache would
 		// defeat the point.
 		fmt.Fprintln(os.Stderr, "specasan-bench: -store only applies to -scenario sweeps; ignored")
-	}
-	if *traceRecord || *traceReplay {
-		// Same pinned-measurement argument as -store: replay is bit-identical
-		// so it would be safe, but the figures stay on the canonical path.
-		fmt.Fprintln(os.Stderr, "specasan-bench: -trace-record/-trace-replay only apply to -scenario sweeps; ignored")
-		opt.TraceRecord, opt.TraceReplay = false, false
 	}
 
 	if *perf {
@@ -240,9 +220,8 @@ func main() {
 
 // runScenario runs the sweep a scenario describes and renders it as a
 // normalized-execution-time table. Explicitly-typed -scale/-workers/
-// -parallel-cores/-skip-idle/-fast-forward/-sample-windows/
-// -sample-window-insts/-warmup-cycles/-trace-record/-trace-replay flags
-// override the scenario's run options; everything else
+// -skip-idle/-fast-forward/-sample-windows/-sample-window-insts/
+// -warmup-cycles flags override the scenario's run options; everything else
 // (machine, mitigation columns, workload rows) comes from the scenario. The
 // effective hash is printed on stderr and stamped into -metrics-out records.
 func runScenario(arg string, opt harness.Options, explicit map[string]bool) {
@@ -255,9 +234,6 @@ func runScenario(arg string, opt harness.Options, explicit map[string]bool) {
 	}
 	if explicit["workers"] {
 		s.Run.Workers = opt.Workers
-	}
-	if explicit["parallel-cores"] {
-		s.Run.ParallelCores = opt.ParallelCores
 	}
 	if explicit["skip-idle"] {
 		s.Run.SkipIdle = !opt.NoSkipIdle
@@ -273,12 +249,6 @@ func runScenario(arg string, opt harness.Options, explicit map[string]bool) {
 	}
 	if explicit["warmup-cycles"] {
 		s.Run.WarmupCycles = opt.WarmupCycles
-	}
-	if explicit["trace-record"] {
-		s.Run.TraceRecord = opt.TraceRecord
-	}
-	if explicit["trace-replay"] {
-		s.Run.TraceReplay = opt.TraceReplay
 	}
 	if err := s.Validate(); err != nil {
 		fatal(err)
@@ -336,13 +306,6 @@ func runPerf(path, note string, opt harness.Options) {
 		rep.SampledSweep.Windows, rep.SampledSweep.WindowInsts,
 		rep.SampledSweep.SampledWallSeconds, rep.SampledSweep.FullWallSeconds,
 		rep.SampledSweep.Speedup, rep.SampledSweep.MaxIPCDeltaPct)
-	fmt.Printf("multicore:   %s on %d cores: %.2fs parallel vs %.2fs serial (%.2fx at GOMAXPROCS=%d)\n",
-		rep.Multicore.Workload, rep.Multicore.Cores,
-		rep.Multicore.ParallelWallSeconds, rep.Multicore.SerialWallSeconds,
-		rep.Multicore.Speedup, rep.Multicore.GoMaxProcs)
-	fmt.Printf("replay:      %.1f ns/inst from trace vs %.1f live decode (%.2fx, %s)\n",
-		rep.Replay.ReplayNsPerInst, rep.Replay.DecodeNsPerInst,
-		rep.Replay.Overhead, rep.Replay.Workload)
 	fmt.Printf("report:      %s\n", path)
 	fmt.Println(notice)
 	if regressed {

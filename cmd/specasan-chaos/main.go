@@ -50,8 +50,6 @@ func main() {
 	verdicts := flag.Bool("verdicts", true, "also check Table 1 verdict invariance under timing-safe chaos")
 	verdictSeeds := flag.Int("verdict-seeds", 2, "chaos seeds for the verdict-invariance sweep")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	parallelCores := flag.Int("parallel-cores", 0,
-		"intra-machine core stepping (0 = auto, 1 = serial, >= 2 = goroutine per core); injected cells fall back to serial regardless (the fault driver is a per-cycle hook), results are bit-identical either way")
 	traceIdx := flag.Int("trace", -1, "re-run one campaign cell (by index) with event tracing and write a Chrome trace")
 	traceOut := flag.String("trace-out", "trace.json", "where -trace writes its Chrome trace-event JSON")
 	metricsOut := flag.String("metrics-out", "", "write per-cell metrics records (JSONL, cell order) to this file")
@@ -116,9 +114,6 @@ func main() {
 	if overrides("workers") {
 		s.Run.Workers = *workers
 	}
-	if overrides("parallel-cores") {
-		s.Run.ParallelCores = *parallelCores
-	}
 	if overrides("skip-idle") {
 		s.Run.SkipIdle = *skipIdle
 	}
@@ -150,7 +145,6 @@ func main() {
 	copt := chaos.CampaignOptions{
 		Scale: s.Run.Scale, MaxCycles: s.Run.MaxCycles, Workers: s.Run.Workers,
 		ScenarioHash: hash, NoSkipIdle: !s.Run.SkipIdle,
-		ParallelCores: s.Run.ParallelCores,
 	}
 	var metricsW io.Writer
 	if *metricsOut != "" {

@@ -55,13 +55,6 @@ type CampaignOptions struct {
 	// hook installed, which bypasses idle skipping regardless, so the knob
 	// is result-neutral here (and the result hash pins it anyway).
 	NoSkipIdle bool
-	// ParallelCores sets intra-machine core stepping on every cell's machine
-	// (cpu.Machine.ParallelCores semantics: 0 auto, 1 serial, >= 2 one
-	// goroutine per core). Result-neutral like NoSkipIdle: campaign cells
-	// run with the injector's PerCycle hook installed, which forces the
-	// machine's serial fallback regardless, and the determinism suite pins
-	// serial-vs-parallel stepping bit-identical everywhere else.
-	ParallelCores int
 }
 
 // RunCampaign executes every cell with up to `workers` running concurrently
@@ -119,10 +112,6 @@ func RunCampaignOpts(cells []CampaignCell, opt CampaignOptions) ([]*RunReport, e
 		attach := append([]func(*cpu.Machine){}, opt.Attach...)
 		if opt.NoSkipIdle {
 			attach = append(attach, func(m *cpu.Machine) { m.SkipIdle = false })
-		}
-		if opt.ParallelCores != 0 {
-			pc := opt.ParallelCores
-			attach = append(attach, func(m *cpu.Machine) { m.ParallelCores = pc })
 		}
 		var met *obs.Metrics
 		if opt.Metrics != nil {

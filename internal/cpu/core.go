@@ -11,6 +11,7 @@
 package cpu
 
 import (
+	"specasan/internal/asm"
 	"specasan/internal/branch"
 	"specasan/internal/cache"
 	"specasan/internal/core"
@@ -173,7 +174,7 @@ type Core struct {
 	cfg *core.Config
 	mit core.Mitigation
 
-	fe     Frontend
+	prog   *asm.Program
 	hier   *cache.Hierarchy
 	img    *mem.Image
 	pred   *branch.Predictor
@@ -250,14 +251,6 @@ type Core struct {
 	// nil-guarded: disabled, each hook site costs one pointer compare.
 	Obs *obs.CoreTrace
 	Met *obs.CoreMetrics
-
-	// gate, when non-nil, is the machine's parallel-step baton (gate.go):
-	// the core must pass through it before its first touch of shared state
-	// — hierarchy, memory image, tag sidecar, oracle event recording — in
-	// each tick. gateHeld notes that this tick already holds the baton.
-	// Both are nil/false in serial runs.
-	gate     *stepGate
-	gateHeld bool
 
 	// lastCommitCycle is the cycle of the most recent commit — the
 	// watchdog's progress signal.
@@ -455,10 +448,9 @@ type fetchedInst struct {
 	stallOnResolve bool
 }
 
-// NewCore builds a core attached to shared machine structures. The frontend
-// supplies the instruction stream (see Frontend); every core of a machine
-// shares one.
-func NewCore(id int, cfg *core.Config, mit core.Mitigation, fe Frontend,
+// NewCore builds a core attached to shared machine structures. Every core of
+// a machine fetches from the same program.
+func NewCore(id int, cfg *core.Config, mit core.Mitigation, prog *asm.Program,
 	hier *cache.Hierarchy, img *mem.Image, oracle *core.Oracle, tagSeed uint64) *Core {
 
 	pol := mit.Descriptor()
@@ -466,7 +458,7 @@ func NewCore(id int, cfg *core.Config, mit core.Mitigation, fe Frontend,
 		ID:      id,
 		cfg:     cfg,
 		mit:     mit,
-		fe:      fe,
+		prog:    prog,
 		hier:    hier,
 		img:     img,
 		oracle:  oracle,
@@ -474,7 +466,7 @@ func NewCore(id int, cfg *core.Config, mit core.Mitigation, fe Frontend,
 		robCap:  cfg.ROBEntries,
 		nextSeq: 1,
 		headSeq: 1,
-		fetchPC: fe.EntryPC(),
+		fetchPC: prog.Entry,
 		aluFree: make([]uint64, cfg.ALUs),
 		mulFree: make([]uint64, 1),
 		mduPred: make(map[uint64]uint8),
@@ -739,21 +731,6 @@ func (c *Core) SetReg(r isa.Reg, v uint64) {
 	if r != isa.XZR {
 		c.cRegs[r] = v
 	}
-}
-
-// enterShared serialises the core's first shared-state access of this tick
-// behind the machine's step baton: it returns only once every lower-ID
-// core has finished its tick, so the shared state (hierarchy, memory
-// image, tags, oracle events) is exactly what the serial walk would show.
-// A no-op in serial runs (one nil compare) and on every access after the
-// first in a tick. Reads of run-immutable state — the program, the config,
-// the oracle's secret regions — do not need it.
-func (c *Core) enterShared() {
-	if c.gate == nil || c.gateHeld {
-		return
-	}
-	c.gate.acquire(c.ID)
-	c.gateHeld = true
 }
 
 // TSH exposes the core's tag-check status handler (stats, tests).

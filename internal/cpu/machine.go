@@ -18,7 +18,6 @@ import (
 // commit, and runs the write-to-full-address comparison that squashes
 // Fallout-style false forwards.
 func (c *Core) commitStore(e *robEntry) {
-	c.enterShared() // every arm touches the hierarchy, image, or tag sidecar
 	in := e.inst
 	switch in.Op {
 	case isa.STR, isa.STRB:
@@ -92,17 +91,6 @@ type Machine struct {
 	// automatically.
 	SkipIdle bool
 
-	// ParallelCores selects the intra-machine stepping mode for Run (see
-	// gate.go): 0 = auto (one goroutine per core when the machine has more
-	// than one core and GOMAXPROCS > 1), 1 = force the serial walk, >= 2 =
-	// force parallel stepping even on a single-threaded GOMAXPROCS. Both
-	// modes are bit-identical; the knob only trades wall-clock for
-	// goroutine-handoff overhead. Bare Step calls always walk serially.
-	ParallelCores int
-
-	// crew is the per-core worker pool, non-nil only inside a parallel run.
-	crew *coreCrew
-
 	cycle uint64
 	// skipLimit caps skips at Run's cycle budget so timed-out runs end on
 	// the same cycle either way. Zero means no budget (bare Step callers).
@@ -113,23 +101,16 @@ type Machine struct {
 // runs all cores share the program (SPMD) and the memory image; per-core
 // behaviour is steered through registers set with Core.SetReg.
 func NewMachine(cfg core.Config, mit core.Mitigation, prog *asm.Program) (*Machine, error) {
-	return NewMachineFrontend(cfg, mit, AssembledFrontend{Prog: prog})
-}
-
-// NewMachineFrontend builds a machine fetching from an arbitrary instruction
-// source — the seam behind NewMachine. All cores share the frontend (SPMD)
-// and the memory image it initialises.
-func NewMachineFrontend(cfg core.Config, mit core.Mitigation, fe Frontend) (*Machine, error) {
 	img := mem.NewImage()
-	fe.InitImage(img)
-	return newMachineOn(cfg, mit, fe, img)
+	img.LoadProgram(prog)
+	return newMachineOn(cfg, mit, prog, img)
 }
 
 // newMachineOn builds a machine over a caller-supplied memory image (already
 // loaded; the machine takes ownership). The state-transplant constructor
 // NewMachineAt enters here with a golden-interpreter memory snapshot instead
 // of a freshly loaded program image.
-func newMachineOn(cfg core.Config, mit core.Mitigation, fe Frontend, img *mem.Image) (*Machine, error) {
+func newMachineOn(cfg core.Config, mit core.Mitigation, prog *asm.Program, img *mem.Image) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -162,7 +143,7 @@ func newMachineOn(cfg core.Config, mit core.Mitigation, fe Frontend, img *mem.Im
 
 	m := &Machine{Cfg: cfg, Mit: mit, Img: img, Hier: hier, Oracle: oracle, SkipIdle: true}
 	for i := 0; i < cfg.Cores; i++ {
-		c := NewCore(i, &m.Cfg, mit, fe, hier, img, oracle, TagSeedBase+uint64(i))
+		c := NewCore(i, &m.Cfg, mit, prog, hier, img, oracle, TagSeedBase+uint64(i))
 		pred, err := branch.New(branch.Config{
 			PHTBits: cfg.PHTBits, BTBSize: cfg.BTBSize,
 			RSBDepth: cfg.RSBDepth, BHBLen: cfg.BHBLen,
@@ -213,15 +194,14 @@ func (m *Machine) Done() bool {
 
 // Step advances the whole machine by one cycle, then — with SkipIdle on and
 // no per-cycle hook — fast-forwards over cycles in which no core can make
-// progress.
+// progress. Cores tick serially in core-ID order; that order is the
+// multi-core determinism contract, since every shared structure (the cache
+// hierarchy and directory, the memory image and its tags, the leak oracle)
+// sees core i's effects for a cycle before core i+1's.
 func (m *Machine) Step() {
 	m.cycle++
-	if m.crew != nil {
-		m.crew.step()
-	} else {
-		for _, c := range m.Cores {
-			c.Tick()
-		}
+	for _, c := range m.Cores {
+		c.Tick()
 	}
 	if m.PerCycle != nil {
 		m.PerCycle(m.cycle)
@@ -300,13 +280,6 @@ func (m *Machine) run(maxCycles uint64, stop func() bool) *RunResult {
 	var simErr *SimError
 	var stopped bool
 	m.skipLimit = maxCycles
-	if m.parallelEligible() {
-		m.crew = startCrew(m.Cores)
-		defer func() {
-			m.crew.shutdown()
-			m.crew = nil
-		}()
-	}
 	for m.cycle < maxCycles && !m.Done() {
 		if stop != nil && stop() {
 			stopped = true

@@ -13,12 +13,19 @@ import (
 // no mitigation. cmd/specasan-bench -perf uses the same recipe, so the
 // microbench here and BENCH_sim.json measure the same hot loop.
 func perfMachine(tb testing.TB) *Machine {
+	return kernelMachine(tb, "508.namd_r", 10)
+}
+
+// kernelMachine builds an unmitigated machine running a registry kernel at
+// the given scale, one core per kernel thread, each core's X0 set to its
+// thread id as the harness does.
+func kernelMachine(tb testing.TB, name string, scale float64) *Machine {
 	tb.Helper()
-	spec := workloads.ByName("508.namd_r")
+	spec := workloads.ByName(name)
 	if spec == nil {
-		tb.Fatal("workload 508.namd_r missing")
+		tb.Fatalf("workload %s missing", name)
 	}
-	prog, err := spec.Build(false, 10)
+	prog, err := spec.Build(false, scale)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -27,6 +34,9 @@ func perfMachine(tb testing.TB) *Machine {
 	m, err := NewMachine(cfg, core.Unsafe, prog)
 	if err != nil {
 		tb.Fatal(err)
+	}
+	for i := 0; i < spec.Threads; i++ {
+		m.Core(i).SetReg(0, uint64(i))
 	}
 	return m
 }
@@ -58,26 +68,38 @@ func TestMachineStepAllocs(t *testing.T) {
 
 // TestMachineStepAllocsTraced is the tracing-on variant: with a tracer and
 // metrics bundle attached, recording is ring stores and histogram increments,
-// so steady-state Step must still not allocate.
+// so steady-state Step must still not allocate — on the single-core recipe
+// and on a 4-core PARSEC machine, whose cores share the hierarchy and tracer.
 func TestMachineStepAllocsTraced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	m := perfMachine(t)
-	m.AttachObs(obs.NewTracer(len(m.Cores), 0), obs.NewMetrics(len(m.Cores)))
-	for i := 0; i < 2000 && !m.Done(); i++ {
-		m.Step()
-	}
-	if m.Done() {
-		t.Fatal("machine halted during warmup; enlarge the workload scale")
-	}
-	allocs := testing.AllocsPerRun(2000, func() {
-		if !m.Done() {
-			m.Step()
-		}
-	})
-	if allocs > 0.01 {
-		t.Errorf("traced Machine.Step allocates %.3f objects/step in steady state, want ~0", allocs)
+	for _, tc := range []struct {
+		name  string
+		build func(testing.TB) *Machine
+	}{
+		{"508.namd_r", perfMachine},
+		{"blackscholes", func(tb testing.TB) *Machine { return kernelMachine(tb, "blackscholes", 0.05) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.build(t)
+			m.AttachObs(obs.NewTracer(len(m.Cores), 0), obs.NewMetrics(len(m.Cores)))
+			for i := 0; i < 2000 && !m.Done(); i++ {
+				m.Step()
+			}
+			if m.Done() {
+				t.Fatal("machine halted during warmup; enlarge the workload scale")
+			}
+			allocs := testing.AllocsPerRun(2000, func() {
+				if !m.Done() {
+					m.Step()
+				}
+			})
+			if allocs > 0.01 {
+				t.Errorf("traced Machine.Step on %d core(s) allocates %.3f objects/step in steady state, want ~0",
+					len(m.Cores), allocs)
+			}
+		})
 	}
 }
 

@@ -141,13 +141,12 @@ func (c *Core) fetch() {
 		c.fetchBlockedBy = 0
 	}
 	for n := 0; n < c.cfg.FetchWidth; n++ {
-		in := c.fe.InstAt(c.fetchPC)
+		in := c.prog.InstAt(c.fetchPC)
 		if in == nil {
 			return // off the edge of code; dispatch will fault if reached
 		}
 		// One I-cache access per line per fetch group.
 		if line := c.fetchPC &^ uint64(c.cfg.LineBytes-1); line != c.lastFetchLine {
-			c.enterShared()
 			ready := c.hier.FetchInst(c.ID, c.fetchPC, c.cycle)
 			if ready > c.cycle+c.cfg.L1ILatency {
 				c.fetchStallTo = ready // i-cache miss
@@ -261,7 +260,7 @@ func (c *Core) fetch() {
 }
 
 func (c *Core) targetIsBTI(pc uint64) bool {
-	in := c.fe.InstAt(pc)
+	in := c.prog.InstAt(pc)
 	return in != nil && in.Op == isa.BTI
 }
 
@@ -945,7 +944,6 @@ func (c *Core) releaseEntry(e *robEntry, squashed bool) {
 		}
 		c.obsRecord(e.seq, e.pc, obs.EvSquash, 0)
 		if c.ghostOn && e.isLoad && e.memIssued && e.addrReady {
-			c.enterShared()
 			c.hier.DropGhost(c.ID, e.addr)
 		}
 		c.promoteCandidates(e.seq)
@@ -1031,7 +1029,6 @@ func (c *Core) commitEntry(e *robEntry) {
 	case isa.STR, isa.STRB, isa.STG, isa.ST2G, isa.SWPAL:
 		c.commitStore(e)
 	case isa.DC:
-		c.enterShared()
 		c.hier.FlushLine(e.addr, c.cycle)
 	case isa.SVC:
 		c.commitSVC(e)
@@ -1039,7 +1036,6 @@ func (c *Core) commitEntry(e *robEntry) {
 		c.Halted = true
 	}
 	if c.ghostOn && e.isLoad && e.memIssued {
-		c.enterShared()
 		c.hier.PromoteGhost(c.ID, e.addr, c.cycle)
 	}
 }

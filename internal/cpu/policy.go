@@ -86,7 +86,6 @@ func (c *Core) policyBlocksIssue(e *robEntry) blockReason {
 		if !in.HasImm {
 			rm, _ = c.readSource2(e, in.Rm)
 		}
-		c.enterShared()
 		if !c.hier.Probe(c.ID, isa.EffAddr(in, rn, rm), c.cycle, c.domLFBHit) {
 			return blockDoM
 		}
@@ -158,7 +157,6 @@ func (c *Core) promoteCandidates(seq uint64) {
 		return
 	}
 	for _, ev := range c.candidates[seq] {
-		c.enterShared()
 		c.oracle.Record(ev)
 	}
 	delete(c.candidates, seq)

@@ -169,7 +169,7 @@ func (c *Core) nextEventCycle() uint64 {
 			}
 			// Live blocker: fetch only burns the CFI-stall counter (added
 			// analytically); release is a branch event, covered above.
-		} else if c.fe.InstAt(c.fetchPC) != nil {
+		} else if c.prog.InstAt(c.fetchPC) != nil {
 			consider(c.fetchStallTo) // resumes once the i-cache stall expires
 		}
 		// Off the code edge: fetch stays idle until a squash redirects it —

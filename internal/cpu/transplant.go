@@ -30,20 +30,12 @@ import (
 // machine takes ownership of st.Mem (snapshots are already deep copies;
 // callers reusing one snapshot across machines must Clone it per machine).
 // The program is still needed for instruction fetch — code lives in the
-// frontend, not the image, so the snapshot cannot drift from the text.
+// Program, not the image, so the snapshot cannot drift from the text.
 func NewMachineAt(cfg core.Config, mit core.Mitigation, prog *asm.Program, st *golden.State) (*Machine, error) {
-	return NewMachineAtFrontend(cfg, mit, AssembledFrontend{Prog: prog}, st)
-}
-
-// NewMachineAtFrontend is NewMachineAt over an arbitrary instruction source
-// — the transplant seam's frontend form. The frontend's InitImage is NOT
-// called: the snapshot's memory image already holds the program's data in
-// whatever state the functional walk left it.
-func NewMachineAtFrontend(cfg core.Config, mit core.Mitigation, fe Frontend, st *golden.State) (*Machine, error) {
 	if cfg.Cores != 1 {
 		return nil, fmt.Errorf("cpu: state transplant requires a single-core config, got %d cores", cfg.Cores)
 	}
-	m, err := newMachineOn(cfg, mit, fe, st.Mem)
+	m, err := newMachineOn(cfg, mit, prog, st.Mem)
 	if err != nil {
 		return nil, err
 	}

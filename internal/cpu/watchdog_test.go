@@ -27,33 +27,58 @@ loop:
 
 // A commit-stage freeze must be caught by the watchdog as a structured
 // SimError carrying a pipeview snapshot — not burn the MaxCycles budget and
-// report an anonymous timeout.
+// report an anonymous timeout. On a multi-core machine the verdict names the
+// wedged core and leaves the healthy ones' progress visible.
 func TestWatchdogCatchesWedgedPipeline(t *testing.T) {
-	m, err := NewMachine(core.DefaultConfig(), core.Unsafe, wedgeProg(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Watchdog.StallCycles = 2000 // keep the test fast
-	m.Core(0).InjectWedge()
-	res := m.Run(50_000_000)
-	if res.Err == nil {
-		t.Fatalf("wedged pipeline not caught: %v", res)
-	}
-	if res.Err.Kind != "commit-stall" || res.Err.Core != 0 {
-		t.Fatalf("wrong verdict: %v", res.Err)
-	}
-	if res.TimedOut {
-		t.Fatal("watchdog verdict should supersede the timeout flag")
-	}
-	if res.Cycles > 1_000_000 {
-		t.Fatalf("watchdog fired only after %d cycles", res.Cycles)
-	}
-	if !strings.Contains(res.Err.Snapshot, "rob head=") ||
-		!strings.Contains(res.Err.Snapshot, "seq=") {
-		t.Fatalf("snapshot missing pipeline state:\n%s", res.Err.Snapshot)
-	}
-	if !strings.Contains(res.Err.Error(), "commit-stall") {
-		t.Fatalf("Error() = %q", res.Err.Error())
+	for _, tc := range []struct {
+		name          string
+		cores, wedged int
+	}{
+		{"1core", 1, 0},
+		{"2core-wedge1", 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			cfg.Cores = tc.cores
+			m, err := NewMachine(cfg, core.Unsafe, wedgeProg(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Watchdog.StallCycles = 2000 // keep the test fast
+			m.Core(tc.wedged).InjectWedge()
+			res := m.Run(50_000_000)
+			if res.Err == nil {
+				t.Fatalf("wedged pipeline not caught: %v", res)
+			}
+			if res.Err.Kind != "commit-stall" || res.Err.Core != tc.wedged {
+				t.Fatalf("wrong verdict: %v", res.Err)
+			}
+			if res.TimedOut {
+				t.Fatal("watchdog verdict should supersede the timeout flag")
+			}
+			if res.Cycles > 1_000_000 {
+				t.Fatalf("watchdog fired only after %d cycles", res.Cycles)
+			}
+			if !strings.Contains(res.Err.Snapshot, "rob head=") ||
+				!strings.Contains(res.Err.Snapshot, "seq=") {
+				t.Fatalf("snapshot missing pipeline state:\n%s", res.Err.Snapshot)
+			}
+			if !strings.Contains(res.Err.Error(), "commit-stall") {
+				t.Fatalf("Error() = %q", res.Err.Error())
+			}
+			if len(res.CoreStatuses) != tc.cores {
+				t.Fatalf("core statuses: %+v", res.CoreStatuses)
+			}
+			for i, st := range res.CoreStatuses {
+				if i == tc.wedged {
+					if st.Committed != 0 {
+						t.Fatalf("wedged core %d committed %d instructions past the freeze", i, st.Committed)
+					}
+				} else if st.LastCommit == 0 {
+					t.Fatalf("healthy core %d should have commit progress: %+v", i, st)
+				}
+			}
+		})
 	}
 }
 
@@ -140,8 +165,15 @@ done:
 	if len(cores) != 1 || cores[0] != 1 {
 		t.Fatalf("TimedOutCores = %v, want [1]", cores)
 	}
-	if !res.CoreStatuses[0].Halted || res.CoreStatuses[1].TimedOut != true {
-		t.Fatalf("statuses: %+v", res.CoreStatuses)
+	st := res.CoreStatuses
+	if !st[0].Halted || st[0].TimedOut || !st[1].TimedOut {
+		t.Fatalf("statuses: %+v", st)
+	}
+	// LastCommit is the stall diagnostic: the spinning core kept committing
+	// after the halted one stopped.
+	if st[1].LastCommit == 0 || st[1].LastCommit < st[0].LastCommit {
+		t.Fatalf("LastCommit: core 0 %d, core 1 %d; want core 1 non-zero and >= core 0",
+			st[0].LastCommit, st[1].LastCommit)
 	}
 	if !strings.Contains(res.String(), "timedOutCores=[1]") {
 		t.Fatalf("String() = %q", res.String())

@@ -2,59 +2,12 @@ package fuzzer
 
 import (
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"specasan/internal/attacks"
 	"specasan/internal/core"
-	"specasan/internal/cpu"
 	"specasan/internal/scenario"
 )
-
-// TestPoCCorpusParallelCoresByteIdentical replays the checked-in PoC corpus
-// with intra-machine parallel core stepping requested and pins every
-// outcome — leak bit, secret-read count, per-channel event counts, and the
-// exact cycle count — to the serial replay. PoC machines are single-core,
-// so the machine's eligibility check must route them to the serial walk;
-// any outcome drift here means the stepping mode leaked into results.
-func TestPoCCorpusParallelCoresByteIdentical(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("testdata", "pocs", "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) == 0 {
-		t.Fatal("no checked-in PoCs under testdata/pocs")
-	}
-	for _, path := range paths {
-		path := path
-		t.Run(filepath.Base(path), func(t *testing.T) {
-			t.Parallel()
-			p, err := ReadPoC(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, row := range p.Rows {
-				mit, err := core.ParseMitigation(row.Mitigation)
-				if err != nil {
-					t.Fatalf("row names unknown mitigation: %v", err)
-				}
-				serial, err := attacks.RunVariantWith(p.Variant(), mit, nil)
-				if err != nil {
-					t.Fatalf("serial replay under %v: %v", mit, err)
-				}
-				parallel, err := attacks.RunVariantWith(p.Variant(), mit,
-					func(m *cpu.Machine) { m.ParallelCores = 4 })
-				if err != nil {
-					t.Fatalf("parallel replay under %v: %v", mit, err)
-				}
-				if !reflect.DeepEqual(serial, parallel) {
-					t.Errorf("%v: parallel-cores replay diverged:\nserial   %+v\nparallel %+v",
-						mit, serial, parallel)
-				}
-			}
-		})
-	}
-}
 
 // TestPoCCorpusVerdicts replays every checked-in PoC (testdata/pocs, the
 // seed-1 corpus) and pins its per-mitigation verdict rows: each flagged

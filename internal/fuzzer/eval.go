@@ -77,17 +77,6 @@ func runGolden(c *Candidate, prog *asm.Program, mteOn bool) *goldenState {
 // outcome against the claims model, and architecturally cross-checks every
 // flagged leak against the golden interpreter.
 func EvaluateCandidate(c *Candidate, mits []core.Mitigation) *Evaluation {
-	return EvaluateCandidateParallel(c, mits, 0)
-}
-
-// EvaluateCandidateParallel is EvaluateCandidate with an explicit
-// intra-machine core-stepping mode (cpu.Machine.ParallelCores semantics:
-// 0 auto, 1 serial, >= 2 one goroutine per simulated core). Evaluations
-// are bit-identical across modes — candidate programs are single-core
-// today, and the machine pins serial-vs-parallel identity regardless — so
-// the mode is deliberately absent from the evaluation cache key; the knob
-// lets fuzz smokes prove corpus bytes are stepping-mode-independent.
-func EvaluateCandidateParallel(c *Candidate, mits []core.Mitigation, parallelCores int) *Evaluation {
 	ev := &Evaluation{Hash: c.Hash()}
 	prog, err := asm.Assemble(c.Source)
 	if err != nil {
@@ -111,13 +100,9 @@ func EvaluateCandidateParallel(c *Candidate, mits []core.Mitigation, parallelCor
 	ev.Valid = true
 
 	variant := c.Variant()
-	var prep func(*cpu.Machine)
-	if parallelCores != 0 {
-		prep = func(m *cpu.Machine) { m.ParallelCores = parallelCores }
-	}
 	for _, mit := range mits {
 		tier, reason := Claim(mit, c)
-		out, err := attacks.RunVariantWith(variant, mit, prep)
+		out, err := attacks.RunVariantWith(variant, mit, nil)
 		if err != nil {
 			// The source assembled above; a per-mitigation build error is
 			// structural and poisons the whole candidate.
@@ -146,7 +131,7 @@ func EvaluateCandidateParallel(c *Candidate, mits []core.Mitigation, parallelCor
 		case out.Leaked && tier >= ClaimKnownGap:
 			// Every flagged leak is cross-checked: a leak riding on wrong
 			// architectural state is a simulator bug, not an attack.
-			if crossCheck(c, prog, mit, gold[mit.MTEEnabled()], parallelCores) != nil {
+			if crossCheck(c, prog, mit, gold[mit.MTEEnabled()]) != nil {
 				ev.Diverged = append(ev.Diverged, mit.String())
 			} else if tier == ClaimBlocked {
 				ev.Counterexamples = append(ev.Counterexamples, mit.String())
@@ -162,12 +147,11 @@ func EvaluateCandidateParallel(c *Candidate, mits []core.Mitigation, parallelCor
 // and compares final architectural state — registers, program output, every
 // program data byte plus the secret region — against the golden walk.
 // Returns nil when bit-identical.
-func crossCheck(c *Candidate, prog *asm.Program, mit core.Mitigation, g *goldenState, parallelCores int) error {
+func crossCheck(c *Candidate, prog *asm.Program, mit core.Mitigation, g *goldenState) error {
 	m, err := cpu.NewMachine(core.DefaultConfig(), mit, prog)
 	if err != nil {
 		return fmt.Errorf("machine: %w", err)
 	}
-	m.ParallelCores = parallelCores
 	if err := c.Setup.Apply(m, prog); err != nil {
 		return err
 	}

@@ -113,7 +113,7 @@ func (ip *Interp) blockAt(pc uint64) *bblock {
 }
 
 func (ip *Interp) decodeBlock(pc uint64) *bblock {
-	insts := ip.Src.InstsFrom(pc)
+	insts := ip.prog.InstsFrom(pc)
 	if insts == nil {
 		return nil
 	}

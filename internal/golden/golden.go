@@ -56,7 +56,6 @@ type Result struct {
 
 // Interp is the reference interpreter.
 type Interp struct {
-	Src     Source
 	Mem     *mem.Image
 	MTEOn   bool   // enforce tag checks on (committed) accesses
 	TagSeed uint64 // IRG determinism seed; must match the timed core's
@@ -66,6 +65,7 @@ type Interp struct {
 	// branch per memory operation.
 	Touch *TouchRing
 
+	prog   *asm.Program
 	regs   [isa.NumRegs]uint64
 	flags  isa.Flags
 	pc     uint64
@@ -88,20 +88,14 @@ var _ [0]struct{} = [mem.PageBytes - mem4kMask - 1]struct{}{}
 // New returns an interpreter over prog with its data loaded into a fresh
 // memory image.
 func New(prog *asm.Program) *Interp {
-	return NewFrom(progSource{prog})
-}
-
-// NewFrom returns an interpreter over an arbitrary instruction source — the
-// seam behind New — with the source's static data loaded into a fresh image.
-func NewFrom(src Source) *Interp {
 	img := mem.NewImage()
-	src.InitImage(img)
-	return &Interp{Src: src, Mem: img, pc: src.EntryPC()}
+	img.LoadProgram(prog)
+	return &Interp{prog: prog, Mem: img, pc: prog.Entry}
 }
 
 // NewWithImage runs prog against an existing image (shared-state tests).
 func NewWithImage(prog *asm.Program, img *mem.Image) *Interp {
-	return &Interp{Src: progSource{prog}, Mem: img, pc: prog.Entry}
+	return &Interp{prog: prog, Mem: img, pc: prog.Entry}
 }
 
 // SetReg pre-sets an architectural register before Run.
@@ -185,7 +179,7 @@ func (ip *Interp) Run(maxInsts uint64) *Result {
 // lockstep; production code always takes Run.
 func (ip *Interp) runNaive(maxInsts uint64) *Result {
 	for n := uint64(0); n < maxInsts; n++ {
-		in := ip.Src.InstAt(ip.pc)
+		in := ip.prog.InstAt(ip.pc)
 		if in == nil {
 			return ip.result(StopBadPC, n)
 		}

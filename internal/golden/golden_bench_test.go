@@ -1,9 +1,8 @@
-package golden_test
+package golden
 
 import (
 	"testing"
 
-	"specasan/internal/golden"
 	"specasan/internal/workloads"
 )
 
@@ -31,8 +30,8 @@ func BenchmarkGoldenRun(b *testing.B) {
 	var insts uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := golden.New(prog).Run(1 << 62)
-		if res.Reason != golden.StopExit {
+		res := New(prog).Run(1 << 62)
+		if res.Reason != StopExit {
 			b.Fatalf("walk ended %v", res.Reason)
 		}
 		insts += res.Insts
@@ -54,10 +53,10 @@ func BenchmarkGoldenRunTouched(b *testing.B) {
 	var insts uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ip := golden.New(prog)
-		ip.Touch = golden.NewTouchRing(1 << 15)
+		ip := New(prog)
+		ip.Touch = NewTouchRing(1 << 15)
 		res := ip.Run(1 << 62)
-		if res.Reason != golden.StopExit {
+		if res.Reason != StopExit {
 			b.Fatalf("walk ended %v", res.Reason)
 		}
 		insts += res.Insts

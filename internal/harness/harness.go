@@ -19,7 +19,6 @@ import (
 	"specasan/internal/obs"
 	"specasan/internal/par"
 	"specasan/internal/stats"
-	"specasan/internal/store"
 	"specasan/internal/workloads"
 )
 
@@ -56,12 +55,6 @@ type Options struct {
 	// SkipIdle). Skipping is exactness-preserving, so this only trades
 	// speed for a cycle-by-cycle walk — useful for A/B determinism checks.
 	NoSkipIdle bool
-	// ParallelCores selects intra-machine stepping (cpu.Machine
-	// ParallelCores): 0 = auto (one goroutine per simulated core when the
-	// cell has several cores and GOMAXPROCS > 1), 1 = force the serial
-	// walk, >= 2 = force parallel stepping. Bit-identical either way —
-	// results, logs, and metrics never depend on it.
-	ParallelCores int
 	// Config, when set, is the machine configuration every run uses (its
 	// Cores field is overridden per workload); nil means core.DefaultConfig.
 	// Scenario-driven runs set this to the scenario's Machine.
@@ -83,23 +76,6 @@ type Options struct {
 	// (scenario.ResultHash). Empty disables the cache even when Store is
 	// set — results without a scenario identity are not addressable.
 	ResultHash string
-
-	// TraceRecord, when set together with Artifacts, records each cell's
-	// workload build as a replayable trace (internal/trace) the first time
-	// that build identity runs — record-once, a pure side effect: the cell
-	// itself still live-decodes unless TraceReplay is also set, and results
-	// are unchanged either way.
-	TraceRecord bool
-	// TraceReplay, when set together with Artifacts, runs each cell through
-	// the recorded trace's frontend instead of live-decoding the assembled
-	// program. Replay is bit-identical to live decode (pinned by test). A
-	// missing recording is an error unless TraceRecord is also set, which
-	// records on miss and then replays.
-	TraceReplay bool
-	// Artifacts is the content-addressed store trace artifacts live in — a
-	// raw *store.Store, distinct from the Store cell cache seam (though both
-	// may share one on-disk root). Required by TraceRecord/TraceReplay.
-	Artifacts *store.Store
 
 	// FastForwardInsts, when > 0, runs the first N instructions of every
 	// single-core cell on the functional golden interpreter, transplants the
@@ -207,10 +183,6 @@ type PerfResult struct {
 // multi-threaded cells and programs too short to sample fall back to the
 // full detailed run below.
 func RunBenchmark(spec *workloads.Spec, mit core.Mitigation, opt Options) (*PerfResult, error) {
-	spec, err := ResolveTrace(spec, mit, opt)
-	if err != nil {
-		return nil, err
-	}
 	if opt.Sampling() {
 		if spec.Threads == 1 {
 			r, err := runSampled(spec, mit, opt)
@@ -223,16 +195,16 @@ func RunBenchmark(spec *workloads.Spec, mit core.Mitigation, opt Options) (*Perf
 				spec.Name, mit, spec.Threads)
 		}
 	}
-	fe, err := specFrontend(spec, mit, opt)
+	prog, err := spec.Build(mit.MTEEnabled(), opt.Scale)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
 	cfg := core.DefaultConfig()
 	if opt.Config != nil {
 		cfg = *opt.Config
 	}
 	cfg.Cores = spec.Threads
-	m, err := cpu.NewMachineFrontend(cfg, mit, fe)
+	m, err := cpu.NewMachine(cfg, mit, prog)
 	if err != nil {
 		return nil, err
 	}
@@ -240,7 +212,6 @@ func RunBenchmark(spec *workloads.Spec, mit core.Mitigation, opt Options) (*Perf
 		m.Core(i).SetReg(isa.X0, uint64(i))
 	}
 	m.SkipIdle = !opt.NoSkipIdle
-	m.ParallelCores = opt.ParallelCores
 	var met *obs.Metrics
 	if opt.Metrics != nil {
 		met = obs.NewMetrics(cfg.Cores)

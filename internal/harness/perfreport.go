@@ -12,32 +12,13 @@ import (
 	"specasan/internal/golden"
 	"specasan/internal/isa"
 	"specasan/internal/par"
-	"specasan/internal/trace"
 	"specasan/internal/workloads"
 )
 
-// PerfSchema versions the BENCH_sim.json layout. v2 adds a `history` array
-// (the cross-PR perf trajectory; a v1 file's single measurement becomes
-// history[0] on upgrade), splits host-loop steps from simulated cycles in
-// the single-core block (they differ under idle-cycle skipping), and pins
-// the sweep measurement to workers=GOMAXPROCS. v3 adds the golden
-// interpreter's functional throughput and a sampled-vs-full sweep leg
-// (fast-forward sampling), and reports the warmup knob the single-core
-// measurement used. v4 adds the intra-machine multicore block (one
-// PARSEC machine stepped serially vs one goroutine per simulated core)
-// and unpins the sweep leg's worker count: it now comes from the caller
-// (-sweep-workers; 0 still means GOMAXPROCS) and the resolved value is
-// recorded instead of silently imposed. v5 adds the trace-replay block:
-// the same single-core cell run start to finish fetching from the
-// live-assembled program and from a recorded trace, so the report records
-// what replay costs (or saves) per simulated instruction.
-const (
-	PerfSchema   = "specasan-bench/perf/v5"
-	perfSchemaV4 = "specasan-bench/perf/v4"
-	perfSchemaV3 = "specasan-bench/perf/v3"
-	perfSchemaV2 = "specasan-bench/perf/v2"
-	perfSchemaV1 = "specasan-bench/perf/v1"
-)
+// PerfSchema versions the BENCH_sim.json layout. LoadPerfHistory reads
+// only this version; a report in any other layout is converted once by hand
+// when the schema changes, so the loader never carries upgrade paths.
+const PerfSchema = "specasan-bench/perf/v6"
 
 // PerfBaseline pins the pre-optimisation numbers the current build is
 // compared against: the linear-scan core and serial sweep harness as of the
@@ -103,37 +84,6 @@ type SampledSweepPerf struct {
 	MaxIPCDeltaPct     float64 `json:"max_ipc_delta_pct"`
 }
 
-// MulticorePerf is the intra-machine parallel-stepping measurement: the
-// same multi-core machine run start to finish with serial core stepping
-// and with one goroutine per simulated core (ParallelCores forced past
-// the auto fallback). The determinism suite pins the two runs to
-// byte-identical results; this block records what the goroutines buy —
-// or, on a single-hardware-thread host, what the barrier handoffs cost.
-type MulticorePerf struct {
-	Workload            string  `json:"workload"`
-	Cores               int     `json:"cores"`
-	GoMaxProcs          int     `json:"gomaxprocs"`
-	Cycles              uint64  `json:"cycles_simulated"`
-	SerialWallSeconds   float64 `json:"serial_wall_seconds"`
-	ParallelWallSeconds float64 `json:"parallel_wall_seconds"`
-	Speedup             float64 `json:"speedup_vs_serial"`
-}
-
-// ReplayPerf is the trace-replay measurement: the single-core recipe run
-// start to finish fetching from the live-assembled program and from a
-// recorded trace of the same build. Both machines are bit-identical by the
-// replay determinism tests; this block records only what the trace
-// frontend's sorted-block fetch path costs per simulated instruction
-// relative to the assembled program's (Overhead 1.0 = free replay).
-type ReplayPerf struct {
-	Workload        string  `json:"workload"`
-	RecordedInsts   uint64  `json:"recorded_insts"`
-	Committed       uint64  `json:"committed_instructions"`
-	DecodeNsPerInst float64 `json:"decode_ns_per_inst"`
-	ReplayNsPerInst float64 `json:"replay_ns_per_inst"`
-	Overhead        float64 `json:"replay_overhead_vs_decode"`
-}
-
 // SweepPerf is the harness-level measurement: wall time of one normalized-
 // execution-time sweep on the worker pool, against the serial path on the
 // same host and inputs.
@@ -168,12 +118,14 @@ type PerfHistoryEntry struct {
 	// recorded before it carry zero and marshal without the fields.
 	GoldenMIPS          float64 `json:"golden_mips,omitempty"`
 	SampledSweepSpeedup float64 `json:"sampled_sweep_speedup_vs_full,omitempty"`
-	// MulticoreCores and MulticoreSpeedup arrive with the v4 schema.
+	// MulticoreCores and MulticoreSpeedup record goroutine-per-core stepping
+	// against the serial walk, and ReplayOverhead the ns/inst of fetching
+	// from a recorded trace over live decode of the same cell (1.0 = free).
+	// Both paths were deleted for not paying; the fields stay so the entries
+	// that measured them keep their numbers when the report is regenerated.
 	MulticoreCores   int     `json:"multicore_cores,omitempty"`
 	MulticoreSpeedup float64 `json:"multicore_speedup_vs_serial,omitempty"`
-	// ReplayOverhead arrives with the v5 schema: trace-replay ns/inst over
-	// live-decode ns/inst for the same cell (1.0 = free replay).
-	ReplayOverhead float64 `json:"replay_overhead_vs_decode,omitempty"`
+	ReplayOverhead   float64 `json:"replay_overhead_vs_decode,omitempty"`
 }
 
 // PerfReport is the schema of BENCH_sim.json, the tracked performance
@@ -187,8 +139,6 @@ type PerfReport struct {
 	Golden            GoldenPerf       `json:"golden"`
 	Sweep             SweepPerf        `json:"sweep"`
 	SampledSweep      SampledSweepPerf `json:"sampled_sweep"`
-	Multicore         MulticorePerf    `json:"multicore"`
-	Replay            ReplayPerf       `json:"replay"`
 	Baseline          PerfBaseline     `json:"baseline"`
 	SingleCoreSpeedup float64          `json:"single_core_speedup_vs_baseline"`
 	// History holds every measurement ever recorded, oldest first, ending
@@ -210,16 +160,13 @@ func (r *PerfReport) HistoryEntry(description string) PerfHistoryEntry {
 
 		GoldenMIPS:          r.Golden.SimMIPS,
 		SampledSweepSpeedup: r.SampledSweep.Speedup,
-		MulticoreCores:      r.Multicore.Cores,
-		MulticoreSpeedup:    r.Multicore.Speedup,
-		ReplayOverhead:      r.Replay.Overhead,
 	}
 }
 
-// LoadPerfHistory reads an existing BENCH_sim.json and returns its history:
-// a v2 file's array verbatim, a v1 file's single measurement converted to
-// one entry, nil when the file does not exist. Regeneration appends to this
-// so the trajectory survives across PRs.
+// LoadPerfHistory reads an existing BENCH_sim.json and returns its history
+// array, nil when the file does not exist, and an error for any schema but
+// PerfSchema. Regeneration appends to this so the trajectory survives
+// across PRs.
 func LoadPerfHistory(path string) ([]PerfHistoryEntry, error) {
 	b, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -232,17 +179,10 @@ func LoadPerfHistory(path string) ([]PerfHistoryEntry, error) {
 	if err := json.Unmarshal(b, &old); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	switch old.Schema {
-	case perfSchemaV1:
-		return []PerfHistoryEntry{old.HistoryEntry("v1 report (pre-history)")}, nil
-	case perfSchemaV2, perfSchemaV3, perfSchemaV4, PerfSchema:
-		// Pre-v5 entries simply lack the later fields (golden MIPS, sampled
-		// speedup, multicore speedup, replay overhead); the history array
-		// itself is forward-compatible.
-		return old.History, nil
-	default:
-		return nil, fmt.Errorf("%s: unknown perf schema %q", path, old.Schema)
+	if old.Schema != PerfSchema {
+		return nil, fmt.Errorf("%s: unsupported perf schema %q (want %q)", path, old.Schema, PerfSchema)
 	}
+	return old.History, nil
 }
 
 // perfWorkload is the fixed single-core measurement recipe; it matches
@@ -442,140 +382,6 @@ func MeasureSampledSweep(specs []*workloads.Spec, mits []core.Mitigation, opt Op
 	return sp, nil
 }
 
-// Fixed recipe for the multicore leg: a 4-thread PARSEC kernel large
-// enough that a whole-machine run dominates goroutine startup, bounded so
-// a wedged build cannot hang the measurement.
-const (
-	perfMulticoreWorkload  = "blackscholes"
-	perfMulticoreScale     = 1
-	perfMulticoreMaxCycles = 100_000_000
-)
-
-// MeasureMulticore runs the fixed multicore recipe twice — serial core
-// stepping, then one goroutine per simulated core — and reports both wall
-// times. ParallelCores is forced to the core count for the parallel leg,
-// bypassing the GOMAXPROCS auto fallback, so the block records the real
-// cost/benefit of the goroutine schedule on this host either way.
-func MeasureMulticore() (MulticorePerf, error) {
-	spec := workloads.ByName(perfMulticoreWorkload)
-	if spec == nil {
-		return MulticorePerf{}, fmt.Errorf("workload %s missing", perfMulticoreWorkload)
-	}
-	run := func(parallel int) (float64, uint64, error) {
-		prog, err := spec.Build(false, perfMulticoreScale)
-		if err != nil {
-			return 0, 0, err
-		}
-		cfg := core.DefaultConfig()
-		cfg.Cores = spec.Threads
-		m, err := cpu.NewMachine(cfg, core.Unsafe, prog)
-		if err != nil {
-			return 0, 0, err
-		}
-		for i := 0; i < spec.Threads; i++ {
-			m.Core(i).SetReg(isa.X0, uint64(i))
-		}
-		m.ParallelCores = parallel
-		start := time.Now()
-		res := m.Run(perfMulticoreMaxCycles)
-		wall := time.Since(start)
-		if res.Err != nil {
-			return 0, 0, fmt.Errorf("%s (parallel=%d): %v", perfMulticoreWorkload, parallel, res.Err)
-		}
-		if res.TimedOut {
-			return 0, 0, fmt.Errorf("%s (parallel=%d): timed out at %d cycles", perfMulticoreWorkload, parallel, res.Cycles)
-		}
-		return wall.Seconds(), res.Cycles, nil
-	}
-	serialWall, cycles, err := run(1)
-	if err != nil {
-		return MulticorePerf{}, err
-	}
-	parallelWall, _, err := run(spec.Threads)
-	if err != nil {
-		return MulticorePerf{}, err
-	}
-	mp := MulticorePerf{
-		Workload:            perfMulticoreWorkload,
-		Cores:               spec.Threads,
-		GoMaxProcs:          runtime.GOMAXPROCS(0),
-		Cycles:              cycles,
-		SerialWallSeconds:   serialWall,
-		ParallelWallSeconds: parallelWall,
-	}
-	if parallelWall > 0 {
-		mp.Speedup = serialWall / parallelWall
-	}
-	return mp, nil
-}
-
-// MeasureReplay records the single-core recipe as a trace and runs the cell
-// to completion twice — fetching from the live-assembled program, then from
-// the recorded trace's frontend — and reports ns per committed instruction
-// for both legs. A decode-leg machine is built fresh for the replay leg's
-// comparison too, so the two legs differ only in the Frontend behind the
-// fetch stage.
-func MeasureReplay() (ReplayPerf, error) {
-	spec := workloads.ByName(perfWorkloadName)
-	if spec == nil {
-		return ReplayPerf{}, fmt.Errorf("workload %s missing", perfWorkloadName)
-	}
-	tr, err := spec.RecordTrace(false, perfWorkloadScale, trace.RecordConfig{TagSeed: cpu.TagSeedBase})
-	if err != nil {
-		return ReplayPerf{}, err
-	}
-	run := func(mk func() (cpu.Frontend, error)) (float64, uint64, error) {
-		fe, err := mk()
-		if err != nil {
-			return 0, 0, err
-		}
-		cfg := core.DefaultConfig()
-		cfg.Cores = spec.Threads
-		m, err := cpu.NewMachineFrontend(cfg, core.Unsafe, fe)
-		if err != nil {
-			return 0, 0, err
-		}
-		for i := 0; i < spec.Threads; i++ {
-			m.Core(i).SetReg(isa.X0, uint64(i))
-		}
-		start := time.Now()
-		res := m.Run(perfMulticoreMaxCycles)
-		wall := time.Since(start)
-		if res.Err != nil {
-			return 0, 0, fmt.Errorf("%s replay leg: %v", perfWorkloadName, res.Err)
-		}
-		if res.TimedOut || res.Committed == 0 {
-			return 0, 0, fmt.Errorf("%s replay leg: timed out at %d cycles", perfWorkloadName, res.Cycles)
-		}
-		return float64(wall.Nanoseconds()) / float64(res.Committed), res.Committed, nil
-	}
-	decodeNs, committed, err := run(func() (cpu.Frontend, error) {
-		prog, err := spec.Build(false, perfWorkloadScale)
-		if err != nil {
-			return nil, err
-		}
-		return cpu.AssembledFrontend{Prog: prog}, nil
-	})
-	if err != nil {
-		return ReplayPerf{}, err
-	}
-	replayNs, _, err := run(func() (cpu.Frontend, error) { return tr.Frontend() })
-	if err != nil {
-		return ReplayPerf{}, err
-	}
-	rp := ReplayPerf{
-		Workload:        perfWorkloadName,
-		RecordedInsts:   tr.Meta.Insts,
-		Committed:       committed,
-		DecodeNsPerInst: decodeNs,
-		ReplayNsPerInst: replayNs,
-	}
-	if decodeNs > 0 {
-		rp.Overhead = replayNs / decodeNs
-	}
-	return rp, nil
-}
-
 // MeasureSweep times one Figure 6-style sweep twice — serial, then on the
 // worker pool — and reports both wall times. Logging is disabled for the
 // measurement; the determinism tests cover output equivalence separately.
@@ -613,9 +419,8 @@ func MeasureSweep(specs []*workloads.Spec, mits []core.Mitigation, opt Options) 
 }
 
 // MeasurePerf produces the full report: single-core steady state, golden
-// interpreter throughput, the serial-vs-parallel sweep comparison, the
-// sampled-vs-full sweep comparison, and the intra-machine multicore
-// comparison. The sweep legs run at opt.Workers (0 = GOMAXPROCS, the
+// interpreter throughput, the serial-vs-parallel sweep comparison and the
+// sampled-vs-full sweep comparison. The sweep legs run at opt.Workers (0 = GOMAXPROCS, the
 // historical pin) and the resolved pool size is recorded in the report —
 // the -sweep-workers flag reaches here, it is no longer silently
 // overridden. Warmup for the single-core leg comes from opt's WarmupCycles
@@ -630,14 +435,6 @@ func MeasurePerf(steps uint64, specs []*workloads.Spec, mits []core.Mitigation, 
 		return nil, err
 	}
 	sweep, err := MeasureSweep(specs, mits, opt)
-	if err != nil {
-		return nil, err
-	}
-	multi, err := MeasureMulticore()
-	if err != nil {
-		return nil, err
-	}
-	replay, err := MeasureReplay()
 	if err != nil {
 		return nil, err
 	}
@@ -665,8 +462,6 @@ func MeasurePerf(steps uint64, specs []*workloads.Spec, mits []core.Mitigation, 
 		Golden:       gold,
 		Sweep:        sweep,
 		SampledSweep: sampled,
-		Multicore:    multi,
-		Replay:       replay,
 		Baseline:     base,
 	}
 	if single.HostNsPerCycle > 0 {

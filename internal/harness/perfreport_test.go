@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -26,10 +27,6 @@ func TestPerfReportRoundTrip(t *testing.T) {
 		Sweep: SweepPerf{
 			Workloads: 10, Mitigations: 5, Cells: 50, Scale: 1,
 			Workers: 8, WallSeconds: 12.5, SerialWallSeconds: 80.1, Speedup: 6.4,
-		},
-		Multicore: MulticorePerf{
-			Workload: "blackscholes", Cores: 4, GoMaxProcs: 8, Cycles: 1_500_000,
-			SerialWallSeconds: 2.4, ParallelWallSeconds: 0.9, Speedup: 2.67,
 		},
 		Baseline:          ReferenceBaseline(),
 		SingleCoreSpeedup: 3.52,
@@ -65,46 +62,50 @@ func TestPerfReportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadPerfHistoryAcceptsOldSchemas pins the v5 upgrade path: a
-// pre-existing v2/v3/v4 report's history must load verbatim so the
-// cross-PR trajectory — and the hash-keyed regression gate comparing its
-// last two entries — survives the schema bump.
-func TestLoadPerfHistoryAcceptsOldSchemas(t *testing.T) {
-	for _, schema := range []string{perfSchemaV2, perfSchemaV3, perfSchemaV4} {
-		old := &PerfReport{
-			Schema:      schema,
-			GeneratedAt: "2026-08-01T00:00:00Z",
-			History: []PerfHistoryEntry{
-				{GeneratedAt: "2026-07-01T00:00:00Z", HostNsPerCycle: 200, SimMIPS: 5, ScenarioHash: "abc123"},
-				{GeneratedAt: "2026-08-01T00:00:00Z", HostNsPerCycle: 180, SimMIPS: 6, ScenarioHash: "abc123"},
-			},
-		}
+// TestLoadPerfHistoryCurrentSchemaOnly pins the history loader: a
+// current-schema report's history loads verbatim, so the cross-PR trajectory
+// — and the hash-keyed regression gate comparing its last two entries —
+// survives regeneration, while a report in an older layout is a named
+// error rather than a silently reinterpreted history.
+func TestLoadPerfHistoryCurrentSchemaOnly(t *testing.T) {
+	history := []PerfHistoryEntry{
+		{GeneratedAt: "2026-07-01T00:00:00Z", HostNsPerCycle: 200, SimMIPS: 5, ScenarioHash: "abc123"},
+		{GeneratedAt: "2026-08-01T00:00:00Z", HostNsPerCycle: 180, SimMIPS: 6, ScenarioHash: "abc123",
+			MulticoreCores: 4, MulticoreSpeedup: 0.48, ReplayOverhead: 1.03},
+	}
+	write := func(schema string) string {
+		old := &PerfReport{Schema: schema, GeneratedAt: "2026-08-01T00:00:00Z", History: history}
 		path := filepath.Join(t.TempDir(), "BENCH_sim.json")
 		if err := old.WriteJSON(path); err != nil {
 			t.Fatal(err)
 		}
-		hist, err := LoadPerfHistory(path)
-		if err != nil {
-			t.Fatalf("%s: %v", schema, err)
-		}
-		if !reflect.DeepEqual(hist, old.History) {
-			t.Fatalf("%s history did not load verbatim:\n%+v\n%+v", schema, hist, old.History)
-		}
-		// The gate still compares across the bump: a v5 report appending to
-		// this history must find the older entry as its reference.
-		cur := &PerfReport{Schema: PerfSchema, GeneratedAt: "2026-08-08T00:00:00Z",
-			ScenarioHash: "abc123",
-			SingleCore:   SingleCorePerf{HostNsPerCycle: 170, SimMIPS: 6.4}}
-		if err := cur.AppendHistory(path, "v5 entry"); err != nil {
-			t.Fatal(err)
-		}
-		if n := len(cur.History); n != 3 {
-			t.Fatalf("history length = %d, want 3", n)
-		}
-		notice, regressed := cur.RegressionVsPrevious()
-		if regressed {
-			t.Fatalf("faster run flagged as regression: %s", notice)
-		}
+		return path
+	}
+
+	path := write(PerfSchema)
+	hist, err := LoadPerfHistory(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(hist, history) {
+		t.Fatalf("history did not load verbatim:\n%+v\n%+v", hist, history)
+	}
+	cur := &PerfReport{Schema: PerfSchema, GeneratedAt: "2026-08-08T00:00:00Z",
+		ScenarioHash: "abc123",
+		SingleCore:   SingleCorePerf{HostNsPerCycle: 170, SimMIPS: 6.4}}
+	if err := cur.AppendHistory(path, "new entry"); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(cur.History); n != 3 {
+		t.Fatalf("history length = %d, want 3", n)
+	}
+	if notice, regressed := cur.RegressionVsPrevious(); regressed {
+		t.Fatalf("faster run flagged as regression: %s", notice)
+	}
+
+	old := "specasan-bench/perf/v5"
+	if _, err := LoadPerfHistory(write(old)); err == nil || !strings.Contains(err.Error(), old) {
+		t.Fatalf("loading a %s report: err = %v, want an error naming the schema", old, err)
 	}
 }
 

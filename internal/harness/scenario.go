@@ -21,14 +21,11 @@ func OptionsFromScenario(s *scenario.Scenario) Options {
 		Scale:             s.Run.Scale,
 		MaxCycles:         s.Run.MaxCycles,
 		Workers:           s.Run.Workers,
-		ParallelCores:     s.Run.ParallelCores,
 		NoSkipIdle:        !s.Run.SkipIdle,
 		FastForwardInsts:  s.Run.FastForwardInsts,
 		SampleWindows:     s.Run.SampleWindows,
 		SampleWindowInsts: s.Run.SampleWindowInsts,
 		WarmupCycles:      s.Run.WarmupCycles,
-		TraceRecord:       s.Run.TraceRecord,
-		TraceReplay:       s.Run.TraceReplay,
 		Config:            &cfg,
 		ScenarioHash:      s.Hash(),
 		ResultHash:        s.ResultHash(),
@@ -59,6 +56,5 @@ func RunScenarioSweep(s *scenario.Scenario, opt Options) (*Sweep, error) {
 	so := OptionsFromScenario(s)
 	so.Verbose, so.Log, so.Metrics, so.Attach = opt.Verbose, opt.Log, opt.Metrics, opt.Attach
 	so.Store = opt.Store // cache keying (ResultHash) comes from the scenario
-	so.Artifacts = opt.Artifacts
 	return RunSweep(specs, mits, so)
 }

@@ -39,18 +39,11 @@ func (s *Scenario) ResultHash() string {
 	c.Mitigations = nil
 	c.Workloads = nil
 	// Scheduling and failure handling: result-neutral by contract (the
-	// determinism tests pin workers-independence and serial-vs-parallel
-	// core stepping bit-identity; retries only decide whether a success
-	// exists, never what it contains).
+	// determinism tests pin workers-independence; retries only decide
+	// whether a success exists, never what it contains).
 	c.Run.Workers = 0
-	c.Run.ParallelCores = 0
 	c.Run.RetryBudgetFactor = 0
 	c.Run.MaxRetries = 0
-	// Trace record/replay: result-neutral by contract (replay is
-	// bit-identical to live decode — pinned by the replay fingerprint
-	// tests — and recording only produces a side-band artifact).
-	c.Run.TraceRecord = false
-	c.Run.TraceReplay = false
 	if c.Chaos != nil {
 		cc := *c.Chaos
 		// Seed0/Seeds/Kinds enumerate chaos cells (cell-key coordinates);

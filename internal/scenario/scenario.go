@@ -45,13 +45,6 @@ type RunOptions struct {
 	// Workers bounds sweep-cell concurrency (0 = GOMAXPROCS, 1 = serial).
 	// Output is byte-identical for every value.
 	Workers int `json:"workers"`
-	// ParallelCores selects intra-machine stepping: 0 = auto (one
-	// goroutine per simulated core when the cell's machine has several
-	// cores and GOMAXPROCS > 1), 1 = force the serial core walk, >= 2 =
-	// force parallel stepping. Results are bit-identical for every value
-	// (the ResultHash normalizes it out); omitempty keeps pre-knob
-	// scenario hashes.
-	ParallelCores int `json:"parallel_cores,omitempty"`
 	// SkipIdle enables event-driven idle-cycle skipping
 	// (exactness-preserving).
 	SkipIdle bool `json:"skip_idle"`
@@ -88,23 +81,6 @@ type RunOptions struct {
 	// measurement) whose counters are excluded from IPC estimates. 0 means
 	// the harness default (2000).
 	WarmupCycles uint64 `json:"warmup_cycles,omitempty"`
-
-	// The trace knobs below select recorded-workload replay (internal/trace):
-	// a workload build's instruction stream is recorded once as a
-	// content-addressed artifact and later runs fetch from the recording
-	// instead of regenerating and reassembling source. Replay is
-	// bit-identical to live decode (pinned by test) and recording is a pure
-	// side effect, so both knobs are normalized out of the ResultHash —
-	// replayed and live cells share cached results. omitempty keeps
-	// pre-trace scenario hashes.
-
-	// TraceRecord records each workload build the first time its identity
-	// runs (record-once; an existing recording is never overwritten).
-	TraceRecord bool `json:"trace_record,omitempty"`
-	// TraceReplay runs each cell through the recorded trace's frontend. A
-	// missing recording fails the cell unless TraceRecord is also set, which
-	// records on miss and then replays.
-	TraceReplay bool `json:"trace_replay,omitempty"`
 }
 
 // Sampling reports whether the run options select fast-forward sampled
@@ -212,9 +188,6 @@ func (s *Scenario) Validate() error {
 	if s.Run.Workers < 0 {
 		return fmt.Errorf("scenario run: workers must be >= 0")
 	}
-	if s.Run.ParallelCores < 0 {
-		return fmt.Errorf("scenario run: parallel_cores must be >= 0")
-	}
 	if s.Run.MaxRetries < 0 || s.Run.MaxRetries > 8 {
 		return fmt.Errorf("scenario run: max_retries must be in [0,8] (got %d)", s.Run.MaxRetries)
 	}
@@ -233,9 +206,6 @@ func (s *Scenario) Validate() error {
 	}
 	if s.Run.Sampling() && s.Chaos != nil {
 		return fmt.Errorf("scenario run: sampling is incompatible with a chaos section (the injector must observe every cycle)")
-	}
-	if (s.Run.TraceRecord || s.Run.TraceReplay) && s.Chaos != nil {
-		return fmt.Errorf("scenario run: trace record/replay is incompatible with a chaos section (campaigns drive the injector directly)")
 	}
 	if f := s.Fuzz; f != nil {
 		if f.Candidates < 0 {

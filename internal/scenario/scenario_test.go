@@ -146,10 +146,29 @@ func TestLoadFileLayering(t *testing.T) {
 }
 
 // Strict decode: a typo'd field must fail loudly, not silently run the base.
+// A file with an unknown field is a strict-decode error naming the field:
+// a typo, or a run knob the simulator no longer has. The removed-knob files
+// under testdata are named after the field each one sets, so an old scenario
+// file fails loudly instead of silently running without the knob.
 func TestLoadFileRejectsUnknownFields(t *testing.T) {
-	path := writeScenarioFile(t, `{"extends": "table2", "machin": {"Cores": 2}}`)
-	if _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), "machin") {
-		t.Fatalf("unknown field accepted (err=%v)", err)
+	type row struct{ name, path, field string }
+	cases := []row{
+		{"typo", writeScenarioFile(t, `{"extends": "table2", "machin": {"Cores": 2}}`), "machin"},
+	}
+	removed, err := filepath.Glob(filepath.Join("testdata", "removed-knobs", "*.json"))
+	if err != nil || len(removed) == 0 {
+		t.Fatalf("no removed-knob scenario files (err=%v)", err)
+	}
+	for _, path := range removed {
+		field := strings.TrimSuffix(filepath.Base(path), ".json")
+		cases = append(cases, row{field, path, field})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := LoadFile(tc.path); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("unknown field %q accepted (err=%v)", tc.field, err)
+			}
+		})
 	}
 }
 

@@ -76,15 +76,6 @@ type Config struct {
 	// still terminates on its own cycle budget, and if it completes it may
 	// still heal the store). Default 5 minutes.
 	CellTimeout time.Duration
-	// TraceRecord and TraceReplay are server-wide trace knobs, OR-ed with
-	// each submitted scenario's run.trace_record/run.trace_replay: record
-	// missing workload traces into the store, and fetch through recorded
-	// traces instead of assembling. Either requires StoreDir (traces live in
-	// the artifact store); replay is bit-identical to live decode, so result
-	// documents do not change. Perf jobs only — chaos scenarios reject the
-	// knobs at validation.
-	TraceRecord bool
-	TraceReplay bool
 	// Log receives one line per service event (default: discard).
 	Log io.Writer
 }
@@ -184,9 +175,6 @@ type task struct {
 // rather than failing — the service's job is to keep simulating.
 func New(cfg Config) (*Server, error) {
 	cfg.fillDefaults()
-	if (cfg.TraceRecord || cfg.TraceReplay) && cfg.StoreDir == "" {
-		return nil, fmt.Errorf("serve: trace record/replay needs a store directory (traces live in the artifact store)")
-	}
 	s := &Server{
 		cfg:  cfg,
 		jobs: make(map[string]*job),
@@ -342,13 +330,8 @@ func (s *Server) buildJob(scn *scenario.Scenario) (*job, error) {
 		return nil, fmt.Errorf("scenario %q expands to no cells", scn.Name)
 	}
 	opt := harness.OptionsFromScenario(scn)
-	opt.TraceRecord = opt.TraceRecord || s.cfg.TraceRecord
-	opt.TraceReplay = opt.TraceReplay || s.cfg.TraceReplay
 	if s.store != nil {
 		opt.Store = harness.DiskCellStore{S: s.store}
-		opt.Artifacts = s.store
-	} else if opt.TraceRecord || opt.TraceReplay {
-		return nil, fmt.Errorf("scenario %q requests trace record/replay but the server runs storeless (start with a store directory)", scn.Name)
 	}
 	j.cells = make([]CellOutcome, 0, len(specs)*len(mits))
 	for _, spec := range specs {

@@ -196,14 +196,29 @@ func TestQueueOverflowShedsWith429(t *testing.T) {
 }
 
 func TestInvalidScenarioRejected(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	for _, doc := range []string{
+	_, ts := newTestServer(t, Config{StoreDir: t.TempDir()})
+	docs := []string{
 		"{not json",
 		`{"extends": "no-such-preset"}`,
 		`{"run": {"scalle": 1}}`,            // unknown field: strict decode
 		`{"workloads": ["no-such-kernel"]}`, // fails cell expansion
 		`{"run": {"max_retries": 99}}`,      // fails validation
-	} {
+	}
+	// Scenarios setting a run knob the simulator no longer has: strict
+	// decode, never a silent run without the knob. The server has a store,
+	// so no storeless-server rule can be what rejects them.
+	removed, err := filepath.Glob(filepath.Join("..", "scenario", "testdata", "removed-knobs", "*.json"))
+	if err != nil || len(removed) == 0 {
+		t.Fatalf("no removed-knob scenario files (err=%v)", err)
+	}
+	for _, path := range removed {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, string(b))
+	}
+	for _, doc := range docs {
 		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(doc))
 		if err != nil {
 			t.Fatal(err)
