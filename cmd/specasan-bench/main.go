@@ -8,16 +8,19 @@
 //	-all     everything
 //	-perf    measure the simulator itself and write BENCH_sim.json
 //
-// Sweeps run their cells on a bounded worker pool (-workers, default
-// GOMAXPROCS); output is byte-identical to -workers=1. Within one machine the
-// simulated cores step serially in core-ID order. The -perf sweep legs take
-// their pool size from -sweep-workers, recorded in the report. -cpuprofile
-// and -memprofile capture stdlib pprof profiles of the run.
+// Each figure is a preset scenario (figure6 ... figure9) with the typed
+// flags applied over it, the same way -scenario runs any other scenario; its
+// hash is printed on stderr and stamped into -metrics-out records. Sweeps run
+// their cells on a bounded worker pool (-workers, default GOMAXPROCS);
+// output is byte-identical to -workers=1. Within one machine the simulated
+// cores step serially in core-ID order. -store caches -scenario sweeps only:
+// the figures and -perf always simulate. -cpuprofile and -memprofile capture
+// stdlib pprof profiles of the run.
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -37,84 +40,112 @@ import (
 // in about a second.
 const perfSteps = 500_000
 
-func main() {
-	scen := flag.String("scenario", "",
-		"run the sweep a scenario describes (preset name or file); incompatible with -fig/-all/-perf")
-	fig := flag.Int("fig", 0, "figure to regenerate (1, 6, 7, 8, 9)")
-	all := flag.Bool("all", false, "regenerate every figure")
-	perf := flag.Bool("perf", false, "measure simulator performance and write a BENCH_sim.json report")
-	perfOut := flag.String("perf-out", "BENCH_sim.json", "where -perf writes its report")
-	perfNote := flag.String("perf-note", "",
-		"override the -perf history entry's description (default: a summary of the active fast paths)")
-	scale := flag.Float64("scale", 1.0, "kernel iteration scale")
-	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	sweepWorkers := flag.Int("sweep-workers", 0,
-		"worker pool size for the -perf sweep legs (0 = GOMAXPROCS); the resolved value is recorded in the report")
-	traceCell := flag.String("trace", "", "record a Chrome trace of one sweep cell, named benchmark/mitigation (e.g. 505.mcf_r/SpecASan)")
-	traceOut := flag.String("trace-out", "trace.json", "where -trace writes its Chrome trace-event JSON")
-	metricsOut := flag.String("metrics-out", "", "write per-cell metrics records (JSONL, cell order) to this file")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
-	skipIdle := flag.Bool("skip-idle", true, "event-driven idle-cycle skipping (exactness-preserving; off walks every cycle)")
-	fastForward := flag.Uint64("fast-forward", 0,
-		"fast-forward this many instructions functionally before detailed simulation (0 = fully detailed; committed counts and output stay exact, cycles become an estimate)")
-	sampleWindows := flag.Int("sample-windows", 0,
-		"simulate this many evenly-spaced detailed windows and extrapolate cycles from their pooled IPC (requires -sample-window-insts; <=1 = tail mode / off)")
-	sampleWindowInsts := flag.Uint64("sample-window-insts", 0,
-		"instructions per detailed window for -sample-windows")
-	warmupCycles := flag.Uint64("warmup-cycles", 0,
-		"detailed warmup cycles excluded before each sampled measurement (0 = default 2000)")
-	storeDir := flag.String("store", "",
-		"result-store directory for -scenario sweeps: verified cached cells are served without simulating, cold cells persist (ignored by -fig/-all/-perf, which are pinned measurements)")
-	storeMaxBytes := flag.Int64("store-max-bytes", 0,
-		"prune the -store directory to at most this many entry bytes on open, oldest entries first (0 = unbounded)")
-	verbose := flag.Bool("v", false, "log each run")
-	flag.Parse()
+// figure is one sweep figure: its preset and one table title per suite in
+// the preset's workload order (Figure 8 prints SPEC and PARSEC separately).
+type figure struct {
+	preset     string
+	restricted bool // restricted-instruction counts instead of normalized time
+	titles     []string
+}
 
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+var figures = map[int]figure{
+	6: {scenario.PresetFigure6, false, []string{"Figure 6: SPEC CPU2017, normalized execution time (unsafe baseline = 1.0)"}},
+	7: {scenario.PresetFigure7, false, []string{"Figure 7: PARSEC (4 cores), normalized execution time (unsafe baseline = 1.0)"}},
+	8: {scenario.PresetFigure8, true, []string{"Figure 8 (top): SPEC CPU2017, restricted speculative instructions",
+		"Figure 8 (bottom): PARSEC, restricted speculative instructions"}},
+	9: {scenario.PresetFigure9, false, []string{"Figure 9: SPEC CPU2017, CFI combinations, normalized execution time"}},
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// newFlags declares the knob-table flags specasan-bench takes.
+func newFlags(stderr io.Writer) *scenario.Flags {
+	f := scenario.NewFlags("specasan-bench", scenario.Default(), "scenario", "scale", "workers",
+		"skip-idle", "fast-forward", "sample-windows", "sample-window-insts", "warmup-cycles",
+		"store", "store-max-bytes", "metrics-out", "trace-out", "cpuprofile", "memprofile", "v")
+	f.SetOutput(stderr)
+	return f
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	f := newFlags(stderr)
+	fig := f.Int("fig", 0, "figure to regenerate (1, 6, 7, 8, 9)")
+	all := f.Bool("all", false, "regenerate every figure")
+	perf := f.Bool("perf", false, "measure simulator performance and write a BENCH_sim.json report")
+	perfOut := f.String("perf-out", "BENCH_sim.json", "where -perf writes its report")
+	perfNote := f.String("perf-note", "",
+		"override the -perf history entry's description (default: a summary of the active fast paths)")
+	traceCell := f.String("trace", "", "record a Chrome trace of one sweep cell, named benchmark/mitigation (e.g. 505.mcf_r/SpecASan)")
+	f.Parse(args)
+
+	figs := []int{*fig}
+	if *all {
+		figs = []int{1, 6, 7, 8, 9}
+	}
+	_, sweepFig := figures[*fig]
+	switch {
+	case f.Scenario != "" && (*fig != 0 || *all || *perf):
+		fmt.Fprintln(stderr, "specasan-bench: -scenario is a complete sweep description; combine overrides into the scenario instead of -fig/-all/-perf")
+		return 1
+	case f.Scenario == "" && !*perf && !*all && *fig != 1 && !sweepFig:
+		fmt.Fprintln(stderr, "specasan-bench: pick -fig 1|6|7|8|9 or -all")
+		return 2
+	}
+
+	if err := bench(f, figs, *perf, *perfOut, *perfNote, *traceCell, stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "specasan-bench:", err)
+		return 1
+	}
+	return 0
+}
+
+// bench runs what the flags ask for: the -perf measurement, the -scenario
+// sweep, or the figures.
+func bench(f *scenario.Flags, figs []int, perf bool, perfOut, perfNote, traceCell string,
+	stdout, stderr io.Writer) error {
+	out := f.Out
+	stopProf, err := prof.Start(out.CPUProfile, out.MemProfile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "specasan-bench:", err)
-		os.Exit(1)
+		return err
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "specasan-bench:", err)
+			fmt.Fprintln(stderr, "specasan-bench:", err)
 		}
 	}()
 
-	opt := harness.DefaultOptions()
-	opt.Scale = *scale
-	opt.Verbose = *verbose
-	opt.Log = os.Stderr
-	opt.Workers = *workers
-	opt.NoSkipIdle = !*skipIdle
-	opt.FastForwardInsts = *fastForward
-	opt.SampleWindows = *sampleWindows
-	opt.SampleWindowInsts = *sampleWindowInsts
-	opt.WarmupCycles = *warmupCycles
-
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
+	if perf {
+		s, err := perfScenario(f)
 		if err != nil {
-			fatal(err)
+			return err
+		}
+		return runPerf(perfOut, perfNote, s, stdout)
+	}
+
+	var metrics io.Writer
+	if out.MetricsOut != "" {
+		mf, err := os.Create(out.MetricsOut)
+		if err != nil {
+			return err
 		}
 		defer func() {
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "specasan-bench:", err)
+			if err := mf.Close(); err != nil {
+				fmt.Fprintln(stderr, "specasan-bench:", err)
 			}
 		}()
-		opt.Metrics = f
+		metrics = mf
 	}
 	// The trace hook fires on the first sweep cell matching bench/mitigation.
 	// Sweeps run one after another, so with -all a cell appearing in several
 	// figures is traced each time and the last run's trace is written.
+	var attach func(bench string, mit core.Mitigation, m *cpu.Machine)
 	var tr *obs.Tracer
-	if *traceCell != "" {
-		wantBench, wantMit, ok := strings.Cut(*traceCell, "/")
+	if traceCell != "" {
+		wantBench, wantMit, ok := strings.Cut(traceCell, "/")
 		if !ok {
-			fatal(fmt.Errorf("-trace wants benchmark/mitigation, got %q", *traceCell))
+			return fmt.Errorf("-trace wants benchmark/mitigation, got %q", traceCell)
 		}
-		opt.Attach = func(bench string, mit core.Mitigation, m *cpu.Machine) {
+		attach = func(bench string, mit core.Mitigation, m *cpu.Machine) {
 			if bench != wantBench || mit.String() != wantMit {
 				return
 			}
@@ -124,261 +155,210 @@ func main() {
 		}
 		defer func() {
 			if tr == nil {
-				fmt.Fprintf(os.Stderr, "specasan-bench: -trace cell %q never ran\n", *traceCell)
+				fmt.Fprintf(stderr, "specasan-bench: -trace cell %q never ran\n", traceCell)
 				return
 			}
-			if err := writeTrace(*traceOut, tr); err != nil {
-				fmt.Fprintln(os.Stderr, "specasan-bench:", err)
+			if err := obs.WriteChromeTraceFile(out.TraceOut, tr); err != nil {
+				fmt.Fprintln(stderr, "specasan-bench:", err)
 				return
 			}
-			fmt.Fprintf(os.Stderr, "specasan-bench: trace of %s: %s (%d events, %d dropped)\n",
-				*traceCell, *traceOut, tr.Recorded(), tr.Dropped())
+			fmt.Fprintf(stderr, "specasan-bench: trace of %s: %s (%d events, %d dropped)\n",
+				traceCell, out.TraceOut, tr.Recorded(), tr.Dropped())
 		}()
 	}
-
-	if *scen != "" {
-		if *fig != 0 || *all || *perf {
-			fatal(fmt.Errorf("-scenario is a complete sweep description; combine overrides into the scenario instead of -fig/-all/-perf"))
+	// resolve prints the effective scenario's header and returns it with
+	// its workloads and its options, this run's plumbing added.
+	resolve := func() (*scenario.Scenario, []*workloads.Spec, harness.Options, error) {
+		s, err := f.Resolve()
+		if err != nil {
+			return nil, nil, harness.Options{}, err
 		}
-		if *storeDir != "" {
-			st, err := store.Open(*storeDir)
+		fmt.Fprintf(stderr, "specasan-bench: scenario %s (hash %s)\n", s.Name, s.Hash())
+		specs, err := s.WorkloadSpecs()
+		opt := harness.OptionsFromScenario(s)
+		opt.Verbose, opt.Log, opt.Metrics, opt.Attach = out.Verbose, stderr, metrics, attach
+		return s, specs, opt, err
+	}
+
+	if f.Scenario != "" {
+		s, specs, opt, err := resolve()
+		if err != nil {
+			return err
+		}
+		if out.Store != "" {
+			st, err := store.OpenPruned(out.Store, out.StoreMaxBytes, stderr, "specasan-bench")
 			if err != nil {
-				fatal(err)
-			}
-			if st.ReadOnly() {
-				fmt.Fprintf(os.Stderr, "specasan-bench: store %s is read-only: serving cached results, not persisting new ones\n", *storeDir)
-			}
-			if removed, freed, err := st.Prune(*storeMaxBytes); err != nil {
-				fmt.Fprintln(os.Stderr, "specasan-bench:", err)
-			} else if removed > 0 {
-				fmt.Fprintf(os.Stderr, "specasan-bench: store pruned %d entries (%d bytes) to fit -store-max-bytes=%d\n",
-					removed, freed, *storeMaxBytes)
+				return err
 			}
 			opt.Store = harness.DiskCellStore{S: st}
 		}
-		explicit := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		runScenario(*scen, opt, explicit)
-		return
+		sw, err := sweep(s, specs, opt, stderr)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, sw.FormatNormalized(fmt.Sprintf(
+			"Scenario %s (hash %s): normalized execution time (unsafe baseline = 1.0)",
+			s.Name, s.Hash())))
+		return nil
 	}
-	if *storeDir != "" {
+	if out.Store != "" {
 		// -fig/-all reproduce the paper's pinned figures and -perf measures
 		// the simulator itself; serving any of them from a cache would
 		// defeat the point.
-		fmt.Fprintln(os.Stderr, "specasan-bench: -store only applies to -scenario sweeps; ignored")
+		fmt.Fprintln(stderr, "specasan-bench: -store only applies to -scenario sweeps; ignored")
 	}
-
-	if *perf {
-		// -perf measures the simulator itself; instrumentation would skew it.
-		opt.Metrics = nil
-		opt.Attach = nil
-		// The sweep leg of the measurement is exactly the figure6 scenario at
-		// this run's scale; stamp its hash so the history's regression gate
-		// can tell comparable entries apart.
-		ps, _ := scenario.Preset(scenario.PresetFigure6)
-		ps.Run.Scale = opt.Scale
-		ps.Run.SkipIdle = !opt.NoSkipIdle
-		opt.ScenarioHash = ps.Hash()
-		// The sweep legs' pool size is an explicit, recorded choice now —
-		// -sweep-workers, not a silent GOMAXPROCS pin inside MeasurePerf.
-		opt.Workers = *sweepWorkers
-		runPerf(*perfOut, *perfNote, opt)
-		return
-	}
-
-	run := func(n int) {
-		switch n {
-		case 1:
-			figure1()
-		case 6:
-			sw := sweep(workloads.SPEC(), harness.Figure6Mitigations(), opt)
-			fmt.Println(sw.FormatNormalized("Figure 6: SPEC CPU2017, normalized execution time (unsafe baseline = 1.0)"))
-		case 7:
-			sw := sweep(workloads.PARSEC(), harness.Figure6Mitigations(), opt)
-			fmt.Println(sw.FormatNormalized("Figure 7: PARSEC (4 cores), normalized execution time (unsafe baseline = 1.0)"))
-		case 8:
-			sw := sweep(workloads.SPEC(), harness.Figure8Mitigations(), opt)
-			fmt.Println(sw.FormatRestricted("Figure 8 (top): SPEC CPU2017, restricted speculative instructions"))
-			sw = sweep(workloads.PARSEC(), harness.Figure8Mitigations(), opt)
-			fmt.Println(sw.FormatRestricted("Figure 8 (bottom): PARSEC, restricted speculative instructions"))
-		case 9:
-			sw := sweep(workloads.SPEC(), harness.Figure9Mitigations(), opt)
-			fmt.Println(sw.FormatNormalized("Figure 9: SPEC CPU2017, CFI combinations, normalized execution time"))
-		default:
-			fmt.Fprintln(os.Stderr, "specasan-bench: pick -fig 1|6|7|8|9 or -all")
-			os.Exit(2)
+	for _, n := range figs {
+		if n == 1 {
+			if err := figure1(stdout); err != nil {
+				return err
+			}
+			continue
+		}
+		fg := figures[n]
+		f.Scenario = fg.preset
+		s, specs, opt, err := resolve()
+		if err != nil {
+			return err
+		}
+		for i, suite := range bySuite(specs) {
+			sw, err := sweep(s, suite, opt, stderr)
+			if err != nil {
+				return err
+			}
+			if fg.restricted {
+				fmt.Fprintln(stdout, sw.FormatRestricted(fg.titles[i]))
+			} else {
+				fmt.Fprintln(stdout, sw.FormatNormalized(fg.titles[i]))
+			}
 		}
 	}
-	if *all {
-		for _, n := range []int{1, 6, 7, 8, 9} {
-			run(n)
-		}
-		return
-	}
-	run(*fig)
+	return nil
 }
 
-// runScenario runs the sweep a scenario describes and renders it as a
-// normalized-execution-time table. Explicitly-typed -scale/-workers/
-// -skip-idle/-fast-forward/-sample-windows/-sample-window-insts/
-// -warmup-cycles flags override the scenario's run options; everything else
-// (machine, mitigation columns, workload rows) comes from the scenario. The
-// effective hash is printed on stderr and stamped into -metrics-out records.
-func runScenario(arg string, opt harness.Options, explicit map[string]bool) {
-	s, err := scenario.Load(arg)
-	if err != nil {
-		fatal(err)
+// bySuite splits specs into runs of one suite each, in order.
+func bySuite(specs []*workloads.Spec) [][]*workloads.Spec {
+	var out [][]*workloads.Spec
+	for i, sp := range specs {
+		if i == 0 || sp.Suite != specs[i-1].Suite {
+			out = append(out, nil)
+		}
+		out[len(out)-1] = append(out[len(out)-1], sp)
 	}
-	if explicit["scale"] {
-		s.Run.Scale = opt.Scale
-	}
-	if explicit["workers"] {
-		s.Run.Workers = opt.Workers
-	}
-	if explicit["skip-idle"] {
-		s.Run.SkipIdle = !opt.NoSkipIdle
-	}
-	if explicit["fast-forward"] {
-		s.Run.FastForwardInsts = opt.FastForwardInsts
-	}
-	if explicit["sample-windows"] {
-		s.Run.SampleWindows = opt.SampleWindows
-	}
-	if explicit["sample-window-insts"] {
-		s.Run.SampleWindowInsts = opt.SampleWindowInsts
-	}
-	if explicit["warmup-cycles"] {
-		s.Run.WarmupCycles = opt.WarmupCycles
-	}
-	if err := s.Validate(); err != nil {
-		fatal(err)
-	}
-	hash := s.Hash()
-	fmt.Fprintf(os.Stderr, "specasan-bench: scenario %s (hash %s)\n", s.Name, hash)
-	sw, err := harness.RunScenarioSweep(s, opt)
-	if err != nil {
-		fatal(err)
-	}
-	for _, f := range sw.FailedCells() {
-		fmt.Fprintln(os.Stderr, "specasan-bench: cell failed:", f)
-	}
-	fmt.Println(sw.FormatNormalized(fmt.Sprintf(
-		"Scenario %s (hash %s): normalized execution time (unsafe baseline = 1.0)",
-		s.Name, hash)))
+	return out
+}
+
+// perfScenario is what -perf measures, uninstrumented: the figure6 scenario
+// under the typed flags. Its hash, recorded in the report, lets the history's
+// regression gate tell comparable entries apart.
+func perfScenario(f *scenario.Flags) (*scenario.Scenario, error) {
+	f.Scenario = scenario.PresetFigure6
+	return f.Resolve()
 }
 
 // runPerf measures the simulator substrate itself — steady-state single-core
-// throughput and serial-vs-parallel sweep wall time — and writes the
-// BENCH_sim.json report (format documented in README.md).
-func runPerf(path, note string, opt harness.Options) {
-	rep, err := harness.MeasurePerf(perfSteps, workloads.SPEC(), harness.Figure6Mitigations(), opt)
+// throughput and serial-vs-parallel wall time of the scenario's sweep — and
+// writes the BENCH_sim.json report (format documented in README.md). A
+// regression against the previous comparable history entry is an error.
+func runPerf(path, note string, s *scenario.Scenario, stdout io.Writer) error {
+	specs, err := s.WorkloadSpecs()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "specasan-bench:", err)
-		os.Exit(1)
+		return err
+	}
+	mits, err := s.MitigationList()
+	if err != nil {
+		return err
+	}
+	rep, err := harness.MeasurePerf(perfSteps, specs, mits, harness.OptionsFromScenario(s))
+	if err != nil {
+		return err
 	}
 	desc := "event-driven idle skipping + flat memory/tag/cache paths"
-	if opt.NoSkipIdle {
+	if !s.Run.SkipIdle {
 		desc = "flat memory/tag/cache paths (idle skipping disabled)"
 	}
 	if note != "" {
 		desc = note
 	}
 	if err := rep.AppendHistory(path, desc); err != nil {
-		fmt.Fprintln(os.Stderr, "specasan-bench:", err)
-		os.Exit(1)
+		return err
 	}
 	if err := rep.WriteJSON(path); err != nil {
-		fmt.Fprintln(os.Stderr, "specasan-bench:", err)
-		os.Exit(1)
+		return err
 	}
 	notice, regressed := rep.RegressionVsPrevious()
-	fmt.Printf("single core: %.0f ns/cycle, %.3f simulated MIPS, %.4f allocs/committed instr (%s)\n",
+	fmt.Fprintf(stdout, "single core: %.0f ns/cycle, %.3f simulated MIPS, %.4f allocs/committed instr (%s)\n",
 		rep.SingleCore.HostNsPerCycle, rep.SingleCore.SimMIPS,
 		rep.SingleCore.AllocsPerCommitted, rep.SingleCore.Workload)
-	fmt.Printf("vs baseline: %.2fx (%.0f ns/cycle before)\n",
+	fmt.Fprintf(stdout, "vs baseline: %.2fx (%.0f ns/cycle before)\n",
 		rep.SingleCoreSpeedup, rep.Baseline.HostNsPerCycle)
-	fmt.Printf("golden:      %.1f simulated MIPS functional (%s)\n",
+	fmt.Fprintf(stdout, "golden:      %.1f simulated MIPS functional (%s)\n",
 		rep.Golden.SimMIPS, rep.Golden.Workload)
-	fmt.Printf("sweep:       %d cells in %.2fs on %d workers vs %.2fs serial (%.2fx)\n",
+	fmt.Fprintf(stdout, "sweep:       %d cells in %.2fs on %d workers vs %.2fs serial (%.2fx)\n",
 		rep.Sweep.Cells, rep.Sweep.WallSeconds, rep.Sweep.Workers,
 		rep.Sweep.SerialWallSeconds, rep.Sweep.Speedup)
-	fmt.Printf("sampled:     %d windows x %d insts: %.2fs vs %.2fs full (%.2fx, max IPC delta %.2f%%)\n",
+	fmt.Fprintf(stdout, "sampled:     %d windows x %d insts: %.2fs vs %.2fs full (%.2fx, max IPC delta %.2f%%)\n",
 		rep.SampledSweep.Windows, rep.SampledSweep.WindowInsts,
 		rep.SampledSweep.SampledWallSeconds, rep.SampledSweep.FullWallSeconds,
 		rep.SampledSweep.Speedup, rep.SampledSweep.MaxIPCDeltaPct)
-	fmt.Printf("report:      %s\n", path)
-	fmt.Println(notice)
+	fmt.Fprintf(stdout, "report:      %s\n", path)
+	fmt.Fprintln(stdout, notice)
 	if regressed {
-		os.Exit(1)
+		return fmt.Errorf("-perf regressed against the previous history entry (see %s)", path)
 	}
+	return nil
 }
 
-// writeTrace dumps the recorded event trace as Chrome trace-event JSON.
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
+// sweep runs specs against the scenario's mitigations and warns on stderr
+// about each failed cell (the formatters footnote them too).
+func sweep(s *scenario.Scenario, specs []*workloads.Spec, opt harness.Options, stderr io.Writer) (*harness.Sweep, error) {
+	mits, err := s.MitigationList()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := obs.WriteChromeTrace(f, tr); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "specasan-bench:", err)
-	os.Exit(1)
-}
-
-func sweep(specs []*workloads.Spec, mits []core.Mitigation, opt harness.Options) *harness.Sweep {
 	sw, err := harness.RunSweep(specs, mits, opt)
 	if err != nil {
-		// Every cell failed — nothing to format.
-		fmt.Fprintln(os.Stderr, "specasan-bench:", err)
-		os.Exit(1)
+		return nil, err // every cell failed: nothing to format
 	}
-	// Individual failed cells are footnoted by the formatters; warn on
-	// stderr too so scripted runs notice.
 	for _, f := range sw.FailedCells() {
-		fmt.Fprintln(os.Stderr, "specasan-bench: cell failed:", f)
+		fmt.Fprintln(stderr, "specasan-bench: cell failed:", f)
 	}
-	return sw
+	return sw, nil
 }
 
 // figure1 contrasts the defence classes on the Spectre-v1 gadget: where in
 // the ACCESS/USE/TRANSMIT chain each defence stops the attack, and what the
 // benign-path timing cost of that choice is.
-func figure1() {
-	fmt.Println("Figure 1: defence classes on the Spectre-v1 gadget")
-	fmt.Println()
-	fmt.Printf("%-13s %-18s %-14s %s\n", "defence", "class", "gadget blocked", "benign v1-shaped loop (cycles)")
+func figure1(w io.Writer) error {
+	fmt.Fprintln(w, "Figure 1: defence classes on the Spectre-v1 gadget")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-13s %-18s %-14s %s\n", "defence", "class", "gadget blocked", "benign v1-shaped loop (cycles)")
 	v := attacks.SpectrePHT().Variants[0]
 	for _, mit := range []core.Mitigation{core.Unsafe, core.Fence, core.STT, core.GhostMinion, core.SpecASan} {
 		out, err := attacks.RunVariant(v, mit)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "specasan-bench:", err)
-			os.Exit(1)
+			return err
 		}
-		cycles := benignLoop(mit)
-		fmt.Printf("%-13s %-18s %-14v %d\n", mit, mit.Descriptor().Class, !out.Leaked, cycles)
+		cycles, err := benignLoop(mit)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%-13s %-18s %-14v %d\n", mit, mit.Descriptor().Class, !out.Leaked, cycles)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
+	return nil
 }
 
 // benignLoop measures a benign bounds-checked loop (the victim code of
 // Listing 1 with in-bounds indices) under a mitigation.
-func benignLoop(mit core.Mitigation) uint64 {
+func benignLoop(mit core.Mitigation) (uint64, error) {
 	spec := workloads.ByName("500.perlbench_r")
 	prog, err := spec.Build(mit.MTEEnabled(), 0.1)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "specasan-bench:", err)
-		os.Exit(1)
+		return 0, err
 	}
 	m, err := cpu.NewMachine(core.DefaultConfig(), mit, prog)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "specasan-bench:", err)
-		os.Exit(1)
+		return 0, err
 	}
-	return m.Run(100_000_000).Cycles
+	return m.Run(100_000_000).Cycles, nil
 }

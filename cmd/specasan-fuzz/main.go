@@ -11,9 +11,11 @@
 // cross-check divergence) are routed to results/differential for the
 // differential fuzzer, not the PoC corpus.
 //
-// Determinism: with -n, the emitted corpus is byte-identical for a given
-// -seed at any -workers. With -budget, whole candidate batches run until the
-// budget expires, so the corpus is a deterministic prefix of the -n run.
+// The run is the fuzz-smoke preset, or the -scenario given, with the typed
+// flags applied over it. Determinism: with -n, the emitted corpus is
+// byte-identical for a given -seed at any -workers. With -n 0, whole
+// candidate batches run until -budget (whole seconds) expires, so the corpus
+// is a deterministic prefix of the -n run; -budget is ignored when -n > 0.
 //
 // Exit status: 1 usage/internal error, 2 unminimisable find (a find that
 // does not replay its own leak — the loop's invariant broke), 3 golden
@@ -21,124 +23,74 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
-	"specasan/internal/core"
 	"specasan/internal/fuzzer"
 	"specasan/internal/scenario"
 	"specasan/internal/store"
 )
 
-func fail(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "specasan-fuzz: "+format+"\n", args...)
-	os.Exit(1)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	smoke, _ := scenario.Preset(scenario.PresetFuzzSmoke)
+	f := scenario.NewFlags("specasan-fuzz", smoke, "scenario", "seed", "n", "budget",
+		"workers", "mits", "store", "v")
+	f.SetOutput(stderr)
+	out := f.String("out", "results", "output root: PoCs under <out>/pocs, divergences under <out>/differential")
+	noMinimise := f.Bool("no-minimise", false, "emit finds unminimised")
+	f.Parse(args)
+	if f.NArg() > 0 {
+		fmt.Fprintf(stderr, "specasan-fuzz: unexpected arguments %v\n", f.Args())
+		return 1
+	}
+
+	rep, err := fuzz(f, *out, *noMinimise, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "specasan-fuzz:", err)
+		return 1
+	}
+	printReport(stdout, rep)
+	switch {
+	case len(rep.Unminimisable) > 0:
+		return 2
+	case len(rep.Differential) > 0:
+		return 3
+	}
+	return 0
 }
 
-func main() {
-	scen := flag.String("scenario", "",
-		"scenario preset name or file; explicitly-set flags override its fields (default: the fuzz-smoke preset, every flag applies)")
-	seed := flag.Uint64("seed", 1, "generator seed (candidate i is a pure function of seed and i)")
-	n := flag.Int("n", 64, "candidate count (0 = unbounded, requires -budget)")
-	budget := flag.Duration("budget", 0, "wall-clock bound; with -n 0, whole batches run until it expires")
-	workers := flag.Int("workers", 0, "evaluation pool size (0 = GOMAXPROCS, 1 = serial)")
-	out := flag.String("out", "results", "output root: PoCs under <out>/pocs, divergences under <out>/differential")
-	mitsFlag := flag.String("mits", "", "comma-separated mitigation columns (default: every registered policy)")
-	storeDir := flag.String("store", "", "result-store directory: cached candidate evaluations make reruns and resumes cheap")
-	noMinimise := flag.Bool("no-minimise", false, "emit finds unminimised")
-	verbose := flag.Bool("v", false, "log batch progress and each emitted PoC")
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fail("unexpected arguments %v", flag.Args())
+// fuzz resolves the scenario and runs the discovery loop it describes.
+func fuzz(f *scenario.Flags, out string, noMinimise bool, stderr io.Writer) (*fuzzer.Report, error) {
+	s, err := f.Resolve()
+	if err != nil {
+		return nil, err
 	}
-
-	// Scenario layering, same contract as the other CLIs: without -scenario
-	// the fuzz-smoke preset is the base and every flag (defaults included)
-	// applies; with -scenario only explicitly-typed flags override it.
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	overrides := func(name string) bool { return *scen == "" || explicit[name] }
-
-	s, _ := scenario.Preset(scenario.PresetFuzzSmoke)
-	if *scen != "" {
-		var err error
-		if s, err = scenario.Load(*scen); err != nil {
-			fail("%v", err)
-		}
-		if s.Fuzz == nil {
-			smoke, _ := scenario.Preset(scenario.PresetFuzzSmoke)
-			s.Fuzz = smoke.Fuzz
-		}
+	mits, err := s.MitigationList()
+	if err != nil {
+		return nil, err
 	}
-	if overrides("seed") {
-		s.Fuzz.Seed = *seed
-	}
-	if overrides("n") {
-		s.Fuzz.Candidates = *n
-	}
-	if overrides("budget") {
-		s.Fuzz.BudgetSeconds = int(budget.Seconds())
-	}
-	if overrides("workers") {
-		s.Run.Workers = *workers
-	}
-	if overrides("mits") && *mitsFlag != "" {
-		s.Mitigations = splitList(*mitsFlag)
-	}
-	if err := s.Validate(); err != nil {
-		fail("%v", err)
-	}
-	if s.Fuzz.Candidates <= 0 && s.Fuzz.BudgetSeconds <= 0 {
-		fail("nothing to do: set -n or -budget")
-	}
-
-	var mits []core.Mitigation
-	if *mitsFlag != "" || *scen != "" {
-		var err error
-		if mits, err = s.MitigationList(); err != nil {
-			fail("%v", err)
-		}
-	} // else nil: Run defaults to the full registry
-
 	opts := fuzzer.Options{
 		Seed:         s.Fuzz.Seed,
 		N:            s.Fuzz.Candidates,
 		Budget:       time.Duration(s.Fuzz.BudgetSeconds) * time.Second,
 		Workers:      s.Run.Workers,
-		OutDir:       *out,
+		OutDir:       out,
 		Mitigations:  mits,
-		SkipMinimise: *noMinimise,
+		SkipMinimise: noMinimise,
 	}
-	if *verbose {
-		opts.Log = os.Stderr
+	if f.Out.Verbose {
+		opts.Log = stderr
 	}
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			fail("%v", err)
+	if f.Out.Store != "" {
+		if opts.Store, err = store.OpenPruned(f.Out.Store, 0, stderr, "specasan-fuzz"); err != nil {
+			return nil, err
 		}
-		if st.ReadOnly() {
-			fmt.Fprintf(os.Stderr, "specasan-fuzz: store %s is read-only: serving cached evaluations, not persisting new ones\n", *storeDir)
-		}
-		opts.Store = st
 	}
-
-	rep, err := fuzzer.Run(opts)
-	if err != nil {
-		fail("%v", err)
-	}
-	printReport(os.Stdout, rep)
-
-	switch {
-	case len(rep.Unminimisable) > 0:
-		os.Exit(2)
-	case len(rep.Differential) > 0:
-		os.Exit(3)
-	}
+	return fuzzer.Run(opts)
 }
 
 func printReport(w io.Writer, rep *fuzzer.Report) {
@@ -154,14 +106,4 @@ func printReport(w io.Writer, rep *fuzzer.Report) {
 	for _, d := range rep.Differential {
 		fmt.Fprintf(w, "DIVERGENCE %s\n", d)
 	}
-}
-
-func splitList(csv string) []string {
-	var out []string
-	for _, p := range strings.Split(csv, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

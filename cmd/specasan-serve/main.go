@@ -22,28 +22,26 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"time"
 
+	"specasan/internal/scenario"
 	"specasan/internal/serve"
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8077", "listen address")
-	storeDir := flag.String("store", "", "result-store directory (empty: run without a store)")
-	storeMaxBytes := flag.Int64("store-max-bytes", 0,
-		"prune the store to at most this many entry bytes on startup, oldest entries first (0 = unbounded)")
-	queue := flag.Int("queue", 256, "cell queue budget: a job is admitted only if all its cells fit")
-	workers := flag.Int("workers", 0, "cell worker pool size (0 = GOMAXPROCS)")
-	jobTimeout := flag.Duration("job-timeout", 10*time.Minute, "per-job wall deadline (queued cells cancel when it expires)")
-	cellTimeout := flag.Duration("cell-timeout", 5*time.Minute, "per-cell wall deadline")
-	flag.Parse()
+	f := scenario.NewFlags("specasan-serve", nil, "store", "store-max-bytes")
+	addr := f.String("addr", "127.0.0.1:8077", "listen address")
+	queue := f.Int("queue", 256, "cell queue budget: a job is admitted only if all its cells fit")
+	workers := f.Int("workers", 0, "cell worker pool size (0 = GOMAXPROCS)")
+	jobTimeout := f.Duration("job-timeout", 10*time.Minute, "per-job wall deadline (queued cells cancel when it expires)")
+	cellTimeout := f.Duration("cell-timeout", 5*time.Minute, "per-cell wall deadline")
+	f.Parse(os.Args[1:])
 
 	s, err := serve.New(serve.Config{
-		StoreDir:      *storeDir,
-		StoreMaxBytes: *storeMaxBytes,
+		StoreDir:      f.Out.Store,
+		StoreMaxBytes: f.Out.StoreMaxBytes,
 		QueueDepth:    *queue,
 		Workers:       *workers,
 		JobTimeout:    *jobTimeout,

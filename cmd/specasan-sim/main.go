@@ -9,20 +9,21 @@
 //	specasan-sim -config          # print the Table 2 configuration
 //
 // -scenario loads a preset name or scenario file as the base configuration
-// (machine, mitigation, workload, run options); explicitly-set flags
-// override individual fields. A scenario with several workloads or
-// mitigations runs the first of each (sim is a single-run tool; sweeps are
-// specasan-bench's job). The effective scenario's canonical hash is printed
-// on stderr and stamped into -metrics-out records.
+// (machine, mitigation, workload, run options); typed flags override
+// individual fields. Without it the base is table2 under Unsafe with a
+// 500M-cycle budget. A scenario with several workloads or mitigations runs
+// the first of each (sim is a single-run tool; sweeps are specasan-bench's
+// job). The effective scenario's canonical hash is printed on stderr and
+// stamped into -metrics-out records.
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
-	"specasan/internal/asm"
 	"specasan/internal/core"
 	"specasan/internal/cpu"
 	"specasan/internal/harness"
@@ -30,299 +31,224 @@ import (
 	"specasan/internal/obs"
 	"specasan/internal/prof"
 	"specasan/internal/scenario"
+	"specasan/internal/stats"
 	"specasan/internal/store"
 	"specasan/internal/workloads"
 )
 
-func main() {
-	scen := flag.String("scenario", "",
-		"scenario preset name or file; explicitly-set flags override its fields")
-	bench := flag.String("bench", "", "benchmark kernel name (e.g. 505.mcf_r, canneal)")
-	file := flag.String("file", "", "assembly file to run instead of a kernel")
-	mitName := flag.String("mitigation", "Unsafe", "a registered policy name (specasan-sim -mitigations lists them)")
-	listMits := flag.Bool("mitigations", false, "list the registered mitigation policies and exit")
-	scale := flag.Float64("scale", 1.0, "kernel iteration scale")
-	maxCycles := flag.Uint64("max-cycles", 500_000_000, "cycle budget")
-	showConfig := flag.Bool("config", false, "print the simulated CPU configuration (Table 2) and exit")
-	trace := flag.Bool("trace", false, "record a cycle-accurate event trace and write it as Chrome trace-event JSON")
-	traceOut := flag.String("trace-out", "trace.json", "where -trace writes its Chrome trace (load in Perfetto / chrome://tracing)")
-	metricsOut := flag.String("metrics-out", "", "write a pipeline-metrics record (JSONL) to this file")
-	traceText := flag.Bool("trace-text", false, "print the textual pipeline trace to stdout")
-	pipeview := flag.Int("pipeview", 0, "render a timeline of the last N instructions")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
-	skipIdle := flag.Bool("skip-idle", true, "event-driven idle-cycle skipping (exactness-preserving; off walks every cycle)")
-	fastForward := flag.Uint64("fast-forward", 0,
-		"fast-forward this many instructions functionally before detailed simulation (0 = fully detailed; committed counts and output stay exact, cycles become an estimate)")
-	sampleWindows := flag.Int("sample-windows", 0,
-		"simulate this many evenly-spaced detailed windows and extrapolate cycles from their pooled IPC (requires -sample-window-insts; <=1 = tail mode / off)")
-	sampleWindowInsts := flag.Uint64("sample-window-insts", 0,
-		"instructions per detailed window for -sample-windows")
-	warmupCycles := flag.Uint64("warmup-cycles", 0,
-		"detailed warmup cycles excluded before each sampled measurement (0 = default 2000)")
-	storeDir := flag.String("store", "",
-		"result-store directory: serve this run from the store when a verified entry exists, persist it otherwise (named kernels without trace/pipeview/metrics instrumentation only)")
-	storeMaxBytes := flag.Int64("store-max-bytes", 0,
-		"prune the -store directory to at most this many entry bytes on open, oldest entries first (0 = unbounded)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// base is the scenario specasan-sim runs without -scenario: table2 under
+// the Unsafe baseline with a 500M-cycle budget.
+func base() *scenario.Scenario {
+	s := scenario.Default()
+	s.Mitigations = []string{core.Unsafe.String()}
+	s.Run.MaxCycles = 500_000_000
+	return s
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	f := scenario.NewFlags("specasan-sim", base(), "scenario", "bench", "file", "mitigation",
+		"scale", "max-cycles", "skip-idle", "fast-forward", "sample-windows", "sample-window-insts",
+		"warmup-cycles", "store", "store-max-bytes", "metrics-out", "trace-out", "cpuprofile", "memprofile")
+	f.SetOutput(stderr)
+	listMits := f.Bool("mitigations", false, "list the registered mitigation policies and exit")
+	showConfig := f.Bool("config", false, "print the simulated CPU configuration (Table 2) and exit")
+	trace := f.Bool("trace", false, "record a cycle-accurate event trace and write it as Chrome trace-event JSON")
+	traceText := f.Bool("trace-text", false, "print the textual pipeline trace to stdout")
+	pipeview := f.Int("pipeview", 0, "render a timeline of the last N instructions")
+	f.Parse(args)
 
 	if *showConfig {
-		printConfig()
-		return
+		printConfig(stdout)
+		return 0
 	}
 	if *listMits {
 		for _, m := range core.RegisteredMitigations() {
 			d := m.Descriptor()
-			fmt.Printf("%-14s %s\n", d.Name, d.Class)
+			fmt.Fprintf(stdout, "%-14s %s\n", d.Name, d.Class)
 		}
-		return
+		return 0
 	}
+	if err := sim(f, stdout, stderr, *trace, *traceText, *pipeview); err != nil {
+		fmt.Fprintln(stderr, "specasan-sim:", err)
+		return 1
+	}
+	return 0
+}
 
-	// Scenario layering: without -scenario the base is the default (table2)
-	// scenario and every flag (defaults included) applies over it —
-	// reproducing the pre-scenario CLI exactly; with -scenario only flags
-	// the user actually typed override the loaded scenario.
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	overrides := func(name string) bool { return *scen == "" || explicit[name] }
-
-	s := scenario.Default()
-	if *scen != "" {
-		var err error
-		if s, err = scenario.Load(*scen); err != nil {
-			fatal(err)
-		}
-	} else if *bench == "" && *file == "" {
-		fatal(fmt.Errorf("need -bench, -file, or -scenario (or -config)"))
+// sim resolves the scenario and runs its first workload under its first
+// mitigation.
+func sim(f *scenario.Flags, stdout, stderr io.Writer, trace, traceText bool, pipeview int) (err error) {
+	if f.Scenario == "" && f.Lookup("bench").Value.String() == "" && f.Lookup("file").Value.String() == "" {
+		return errors.New("need -bench, -file, or -scenario (or -config)")
 	}
-	if overrides("bench") && *bench != "" {
-		s.Workloads = []string{*bench}
-	}
-	if overrides("file") && *file != "" {
-		s.Workloads = []string{scenario.FileWorkloadPrefix + *file}
-	}
-	if overrides("mitigation") {
-		s.Mitigations = []string{*mitName}
-	}
-	if overrides("scale") {
-		s.Run.Scale = *scale
-	}
-	if overrides("max-cycles") {
-		s.Run.MaxCycles = *maxCycles
-	}
-	if overrides("skip-idle") {
-		s.Run.SkipIdle = *skipIdle
-	}
-	if overrides("fast-forward") {
-		s.Run.FastForwardInsts = *fastForward
-	}
-	if overrides("sample-windows") {
-		s.Run.SampleWindows = *sampleWindows
-	}
-	if overrides("sample-window-insts") {
-		s.Run.SampleWindowInsts = *sampleWindowInsts
-	}
-	if overrides("warmup-cycles") {
-		s.Run.WarmupCycles = *warmupCycles
-	}
-	if err := s.Validate(); err != nil {
-		fatal(err)
+	s, err := f.Resolve()
+	if err != nil {
+		return err
 	}
 	hash := s.Hash()
-	fmt.Fprintf(os.Stderr, "specasan-sim: scenario %s (hash %s)\n", s.Name, hash)
+	fmt.Fprintf(stderr, "specasan-sim: scenario %s (hash %s)\n", s.Name, hash)
 
 	mits, err := s.MitigationList()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	mit := mits[0]
+	spec, err := workloadSpec(s.Workloads[0])
+	if err != nil {
+		return err
+	}
+	out := f.Out
 
 	// The result store serves plain named-kernel runs. File workloads are
 	// not content-addressed (the scenario hash does not cover the file's
 	// bytes), and instrumented runs must actually simulate — both fall
-	// through to the ordinary path, uncached. Without -store the legacy
-	// path runs untouched.
-	if *storeDir != "" {
-		instrumented := *trace || *traceText || *pipeview > 0 || *metricsOut != ""
-		isFile := strings.HasPrefix(s.Workloads[0], scenario.FileWorkloadPrefix)
-		if instrumented || isFile {
-			fmt.Fprintln(os.Stderr, "specasan-sim: -store ignored (file workloads and instrumented runs always simulate, uncached)")
-		} else if err := runStored(s, mit, *storeDir, *storeMaxBytes); err != nil {
-			fatal(err)
+	// through to the ordinary path, uncached.
+	if out.Store != "" {
+		instrumented := trace || traceText || pipeview > 0 || out.MetricsOut != ""
+		if instrumented || strings.HasPrefix(s.Workloads[0], scenario.FileWorkloadPrefix) {
+			fmt.Fprintln(stderr, "specasan-sim: -store ignored (file workloads and instrumented runs always simulate, uncached)")
 		} else {
-			return
+			return runStored(s, spec, mit, out, stdout, stderr)
 		}
 	}
 
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+	stopProf, err := prof.Start(out.CPUProfile, out.MemProfile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "specasan-sim:", err)
+			fmt.Fprintln(stderr, "specasan-sim:", err)
 		}
 	}()
+	var metrics *os.File
+	if out.MetricsOut != "" {
+		if metrics, err = os.Create(out.MetricsOut); err != nil {
+			return err
+		}
+		defer func() {
+			if cerr := metrics.Close(); err == nil {
+				err = cerr
+			}
+		}()
+	}
 
 	// Sampling changes what "cycles" means (a detailed-window extrapolation),
 	// so it routes through the harness instead of the plain machine loop.
 	// Cycle-exact instrumentation of the whole run is incompatible by
 	// definition: most cycles are never simulated.
 	if s.Run.Sampling() {
-		if *trace || *traceText || *pipeview > 0 {
-			fatal(fmt.Errorf("-trace/-trace-text/-pipeview need a fully detailed run; drop -fast-forward/-sample-windows"))
+		if trace || traceText || pipeview > 0 {
+			return errors.New("-trace/-trace-text/-pipeview need a fully detailed run; drop -fast-forward/-sample-windows")
 		}
-		if err := runSampled(s, mit, *metricsOut); err != nil {
-			fatal(err)
-		}
-		return
+		return runSampled(s, spec, mit, metrics, stdout, stderr)
 	}
 
-	var prog *asm.Program
-	cfg := s.Machine
-	threads := 1
-	workload := s.Workloads[0]
-	if path, isFile := strings.CutPrefix(workload, scenario.FileWorkloadPrefix); isFile {
-		var src []byte
-		src, err = os.ReadFile(path)
-		if err == nil {
-			prog, err = asm.Assemble(string(src))
-		}
-	} else {
-		spec := workloads.ByName(workload)
-		if spec == nil {
-			fatal(fmt.Errorf("unknown benchmark %q (see internal/workloads)", workload))
-		}
-		threads = spec.Threads
-		prog, err = spec.Build(mit.MTEEnabled(), s.Run.Scale)
-	}
+	prog, err := spec.Build(mit.MTEEnabled(), s.Run.Scale)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
+	threads := spec.Threads
+	cfg := s.Machine
 	cfg.Cores = threads
 	m, err := cpu.NewMachine(cfg, mit, prog)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	for i := 0; i < threads; i++ {
 		m.Core(i).SetReg(isa.X0, uint64(i))
 	}
 	m.SkipIdle = s.Run.SkipIdle
-	if *traceText {
-		m.Core(0).TraceFn = func(f string, a ...any) { fmt.Printf(f+"\n", a...) }
+	if traceText {
+		m.Core(0).TraceFn = func(format string, a ...any) { fmt.Fprintf(stdout, format+"\n", a...) }
 	}
 	var tr *obs.Tracer
-	if *trace {
+	if trace {
 		tr = obs.NewTracer(threads, 0)
 	}
 	var met *obs.Metrics
-	if *metricsOut != "" {
+	if metrics != nil {
 		met = obs.NewMetrics(threads)
 	}
 	if tr != nil || met != nil {
 		m.AttachObs(tr, met)
 	}
 	var rec *cpu.Recorder
-	if *pipeview > 0 {
-		rec = cpu.NewRecorder(*pipeview * 4)
+	if pipeview > 0 {
+		rec = cpu.NewRecorder(pipeview * 4)
 		m.Core(0).Rec = rec
 	}
 	res := m.Run(s.Run.MaxCycles)
 	if tr != nil {
-		if err := writeTrace(*traceOut, tr); err != nil {
-			fatal(err)
+		if err := obs.WriteChromeTraceFile(out.TraceOut, tr); err != nil {
+			return err
 		}
-		fmt.Printf("trace        %s (%d events, %d dropped)\n", *traceOut, tr.Recorded(), tr.Dropped())
+		fmt.Fprintf(stdout, "trace        %s (%d events, %d dropped)\n", out.TraceOut, tr.Recorded(), tr.Dropped())
 	}
 	if met != nil {
-		name := strings.TrimPrefix(workload, scenario.FileWorkloadPrefix)
-		rec := met.Record(name, mit.String(), res.Cycles, res.Committed)
+		rec := met.Record(spec.Name, mit.String(), res.Cycles, res.Committed)
 		rec.ScenarioHash = hash
-		if err := writeMetrics(*metricsOut, rec); err != nil {
-			fatal(err)
+		if err := obs.WriteMetricsLine(metrics, rec); err != nil {
+			return err
 		}
-		fmt.Printf("metrics      %s\n", *metricsOut)
+		fmt.Fprintf(stdout, "metrics      %s\n", metrics.Name())
+	}
+	status := []string{fmt.Sprintf("timed-out    %v", res.TimedOut)}
+	if cores := res.TimedOutCores(); len(cores) > 0 {
+		status = append(status, fmt.Sprintf("stuck-cores  %v", cores))
+	}
+	status = append(status, fmt.Sprintf("faulted      %v", res.Faulted))
+	printResult(stdout, mit, res.Cycles, res.Committed, status, string(m.Core(0).Output), nil, res.Stats)
+	if res.Err != nil {
+		return fmt.Errorf("%v\npipeline snapshot:\n%s", res.Err, res.Err.Snapshot)
 	}
 	if rec != nil {
-		defer fmt.Print(rec.Render(*pipeview))
+		fmt.Fprint(stdout, rec.Render(pipeview))
 	}
-	fmt.Printf("mitigation   %s\n", mit)
-	fmt.Printf("cycles       %d\n", res.Cycles)
-	fmt.Printf("committed    %d\n", res.Committed)
-	fmt.Printf("ipc          %.3f\n", res.IPC())
-	fmt.Printf("timed-out    %v\n", res.TimedOut)
-	if cores := res.TimedOutCores(); len(cores) > 0 {
-		fmt.Printf("stuck-cores  %v\n", cores)
+	return nil
+}
+
+// workloadSpec resolves a scenario workload: a named kernel, or an assembly
+// file run verbatim on one core.
+func workloadSpec(workload string) (*workloads.Spec, error) {
+	if path, isFile := strings.CutPrefix(workload, scenario.FileWorkloadPrefix); isFile {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		return &workloads.Spec{Name: path, Threads: 1, Source: string(src)}, nil
 	}
-	fmt.Printf("faulted      %v\n", res.Faulted)
-	if out := m.Core(0).Output; len(out) > 0 {
-		fmt.Printf("output       %q\n", out)
+	if spec := workloads.ByName(workload); spec != nil {
+		return spec, nil
 	}
-	fmt.Println("\ncounters:")
-	fmt.Print(harness.FormatStats(res.Stats))
-	if res.Err != nil {
-		fmt.Fprintf(os.Stderr, "\nspecasan-sim: %v\npipeline snapshot:\n%s", res.Err, res.Err.Snapshot)
-		stopProf() // os.Exit skips the deferred flush
-		os.Exit(1)
-	}
+	return nil, fmt.Errorf("unknown benchmark %q (see internal/workloads)", workload)
 }
 
 // runSampled runs one cell in fast-forward sampling mode through the
 // harness: committed counts and output are exact, cycles are an
 // IPC-extrapolated estimate from the detailed windows.
-func runSampled(s *scenario.Scenario, mit core.Mitigation, metricsOut string) error {
-	workload := s.Workloads[0]
-	var spec *workloads.Spec
-	if path, isFile := strings.CutPrefix(workload, scenario.FileWorkloadPrefix); isFile {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		spec = &workloads.Spec{Name: path, Threads: 1, Source: string(src)}
-	} else {
-		spec = workloads.ByName(workload)
-		if spec == nil {
-			return fmt.Errorf("unknown benchmark %q (see internal/workloads)", workload)
-		}
-	}
+func runSampled(s *scenario.Scenario, spec *workloads.Spec, mit core.Mitigation, metrics *os.File,
+	stdout, stderr io.Writer) error {
 	opt := harness.OptionsFromScenario(s)
-	opt.Log = os.Stderr
-	var mf *os.File
-	if metricsOut != "" {
-		var err error
-		if mf, err = os.Create(metricsOut); err != nil {
-			return err
-		}
-		opt.Metrics = mf
+	opt.Log = stderr
+	if metrics != nil {
+		opt.Metrics = metrics
 	}
 	r, err := harness.RunBenchmark(spec, mit, opt)
-	if mf != nil {
-		if cerr := mf.Close(); err == nil {
-			err = cerr
-		}
-	}
 	if err != nil {
 		return err
 	}
-	if mf != nil {
-		fmt.Printf("metrics      %s\n", metricsOut)
+	if metrics != nil {
+		fmt.Fprintf(stdout, "metrics      %s\n", metrics.Name())
 	}
-	fmt.Printf("mitigation   %s\n", mit)
-	fmt.Printf("cycles       %d\n", r.Cycles)
-	fmt.Printf("committed    %d\n", r.Committed)
-	fmt.Printf("ipc          %.3f\n", float64(r.Committed)/float64(r.Cycles))
+	sampled := "sampled      no (run too short or multi-threaded; fully detailed)"
 	if sp := r.Sampled; sp != nil {
-		fmt.Printf("sampled      %d window(s): %d insts functional, %d detailed; cycles are an estimate\n",
+		sampled = fmt.Sprintf("sampled      %d window(s): %d insts functional, %d detailed; cycles are an estimate",
 			sp.Windows, sp.FunctionalInsts, sp.DetailedInsts)
-	} else {
-		fmt.Printf("sampled      no (run too short or multi-threaded; fully detailed)\n")
 	}
-	if len(r.Output) > 0 {
-		fmt.Printf("output       %q\n", r.Output)
-	}
-	fmt.Println("\ncounters:")
-	fmt.Print(harness.FormatStats(r.Stats))
+	printResult(stdout, mit, r.Cycles, r.Committed, []string{sampled}, r.Output, nil, r.Stats)
 	return nil
 }
 
@@ -331,23 +257,11 @@ func runSampled(s *scenario.Scenario, mit core.Mitigation, metricsOut string) er
 // without simulating; a cold run simulates and persists. The printed block
 // matches the ordinary path (FormatStats sorts counters, so cached and cold
 // output are identical).
-func runStored(s *scenario.Scenario, mit core.Mitigation, dir string, maxBytes int64) error {
-	st, err := store.Open(dir)
+func runStored(s *scenario.Scenario, spec *workloads.Spec, mit core.Mitigation, out scenario.Output,
+	stdout, stderr io.Writer) error {
+	st, err := store.OpenPruned(out.Store, out.StoreMaxBytes, stderr, "specasan-sim")
 	if err != nil {
 		return err
-	}
-	if st.ReadOnly() {
-		fmt.Fprintf(os.Stderr, "specasan-sim: store %s is read-only: serving cached results, not persisting new ones\n", dir)
-	}
-	if removed, freed, err := st.Prune(maxBytes); err != nil {
-		fmt.Fprintln(os.Stderr, "specasan-sim:", err)
-	} else if removed > 0 {
-		fmt.Fprintf(os.Stderr, "specasan-sim: store pruned %d entries (%d bytes) to fit -store-max-bytes=%d\n",
-			removed, freed, maxBytes)
-	}
-	spec := workloads.ByName(s.Workloads[0])
-	if spec == nil {
-		return fmt.Errorf("unknown benchmark %q (see internal/workloads)", s.Workloads[0])
 	}
 	opt := harness.OptionsFromScenario(s)
 	opt.Store = harness.DiskCellStore{S: st}
@@ -355,62 +269,44 @@ func runStored(s *scenario.Scenario, mit core.Mitigation, dir string, maxBytes i
 	if err != nil {
 		return err
 	}
-	fmt.Printf("mitigation   %s\n", mit)
-	fmt.Printf("cycles       %d\n", r.Cycles)
-	fmt.Printf("committed    %d\n", r.Committed)
-	fmt.Printf("ipc          %.3f\n", float64(r.Committed)/float64(r.Cycles))
-	fmt.Printf("timed-out    false\n")
-	fmt.Printf("faulted      false\n")
-	if len(r.Output) > 0 {
-		fmt.Printf("output       %q\n", r.Output)
-	}
-	fmt.Printf("cached       %v\n", cached)
-	fmt.Println("\ncounters:")
-	fmt.Print(harness.FormatStats(r.Stats))
+	printResult(stdout, mit, r.Cycles, r.Committed, []string{"timed-out    false", "faulted      false"},
+		r.Output, []string{fmt.Sprintf("cached       %v", cached)}, r.Stats)
 	return nil
 }
 
-func printConfig() {
+// printResult prints a run's result block, the same on every path: the
+// headline numbers, the path's status lines, the console output, any tail
+// lines, then the counters.
+func printResult(w io.Writer, mit core.Mitigation, cycles, committed uint64,
+	status []string, output string, tail []string, counters *stats.Set) {
+	ipc := 0.0
+	if cycles > 0 {
+		ipc = float64(committed) / float64(cycles)
+	}
+	fmt.Fprintf(w, "mitigation   %s\ncycles       %d\ncommitted    %d\nipc          %.3f\n", mit, cycles, committed, ipc)
+	for _, line := range status {
+		fmt.Fprintln(w, line)
+	}
+	if output != "" {
+		fmt.Fprintf(w, "output       %q\n", output)
+	}
+	for _, line := range tail {
+		fmt.Fprintln(w, line)
+	}
+	fmt.Fprintln(w, "\ncounters:")
+	fmt.Fprint(w, harness.FormatStats(counters))
+}
+
+func printConfig(w io.Writer) {
 	c := core.DefaultConfig()
-	fmt.Println("Table 2: configuration of the simulated CPU")
-	fmt.Printf("  CPU                 ARM Cortex A76-class out-of-order core\n")
-	fmt.Printf("  Issue/Commit        %d-way issue, %d micro-ops/cycle commit\n", c.IssueWidth, c.CommitWidth)
-	fmt.Printf("  IQ/ROB              %d-entry Issue Queue, %d-entry Reorder Buffer\n", c.IQEntries, c.ROBEntries)
-	fmt.Printf("  LDQ/STQ             %d-entry each\n", c.LQEntries)
-	fmt.Printf("  L1 I-Cache          %d KB, %d-way, 64B line, %d cycle hit\n", c.L1ISizeKB, c.L1IWays, c.L1ILatency)
-	fmt.Printf("  L1 D-Cache          %d KB, %d-way, 64B line, %d cycle hit, tagged\n", c.L1DSizeKB, c.L1DWays, c.L1DLatency)
-	fmt.Printf("  L2 Cache            %d KB, %d-way, 64B line, %d cycle hit, tagged\n", c.L2SizeKB, c.L2Ways, c.L2Latency)
-	fmt.Printf("  Line Fill Buffer    %d-entry (cache line), 2 cycle hit, tagged\n", c.LFBEntries)
-	fmt.Printf("  DRAM                %d cycle latency, %d-cycle bursts (+%d tag)\n", c.DRAMLatency, c.DRAMBurst, c.TagBurst)
-}
-
-// writeTrace dumps the recorded event trace as Chrome trace-event JSON.
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteChromeTrace(f, tr); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeMetrics dumps one JSONL metrics record.
-func writeMetrics(path string, rec obs.MetricsRecord) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteMetricsLine(f, rec); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "specasan-sim:", err)
-	os.Exit(1)
+	fmt.Fprintln(w, "Table 2: configuration of the simulated CPU")
+	fmt.Fprintf(w, "  CPU                 ARM Cortex A76-class out-of-order core\n")
+	fmt.Fprintf(w, "  Issue/Commit        %d-way issue, %d micro-ops/cycle commit\n", c.IssueWidth, c.CommitWidth)
+	fmt.Fprintf(w, "  IQ/ROB              %d-entry Issue Queue, %d-entry Reorder Buffer\n", c.IQEntries, c.ROBEntries)
+	fmt.Fprintf(w, "  LDQ/STQ             %d-entry each\n", c.LQEntries)
+	fmt.Fprintf(w, "  L1 I-Cache          %d KB, %d-way, 64B line, %d cycle hit\n", c.L1ISizeKB, c.L1IWays, c.L1ILatency)
+	fmt.Fprintf(w, "  L1 D-Cache          %d KB, %d-way, 64B line, %d cycle hit, tagged\n", c.L1DSizeKB, c.L1DWays, c.L1DLatency)
+	fmt.Fprintf(w, "  L2 Cache            %d KB, %d-way, 64B line, %d cycle hit, tagged\n", c.L2SizeKB, c.L2Ways, c.L2Latency)
+	fmt.Fprintf(w, "  Line Fill Buffer    %d-entry (cache line), 2 cycle hit, tagged\n", c.LFBEntries)
+	fmt.Fprintf(w, "  DRAM                %d cycle latency, %d-cycle bursts (+%d tag)\n", c.DRAMLatency, c.DRAMBurst, c.TagBurst)
 }

@@ -49,47 +49,22 @@ type CampaignOptions struct {
 	ResultHash string
 	// Attach hooks run on every cell's machine after construction.
 	Attach []func(*cpu.Machine)
-	// NoSkipIdle disables event-driven idle-cycle skipping on every cell's
-	// machine. Unlike Attach hooks it does not make the campaign
-	// uncacheable: every campaign cell runs with the injector's PerCycle
-	// hook installed, which bypasses idle skipping regardless, so the knob
-	// is result-neutral here (and the result hash pins it anyway).
-	NoSkipIdle bool
 }
 
-// RunCampaign executes every cell with up to `workers` running concurrently
-// (0 = GOMAXPROCS) and returns one report per cell, in cell order. The
-// result is deterministic for any worker count: chaos randomness is seeded
-// per cell, and reports are collected positionally. A cell that cannot run
-// at all stops the campaign; the first error (in cell order) is returned
-// with the reports of the cells before it.
-func RunCampaign(cells []CampaignCell, scale float64, maxCycles uint64,
-	workers int) ([]*RunReport, error) {
-	return RunCampaignOpts(cells, CampaignOptions{
-		Scale: scale, MaxCycles: maxCycles, Workers: workers,
-	})
-}
-
-// RunCampaignMetrics is RunCampaign with an optional obs JSONL metrics
-// stream; see CampaignOptions.Metrics. Kept for callers predating the
-// options struct.
-func RunCampaignMetrics(cells []CampaignCell, scale float64, maxCycles uint64,
-	workers int, metrics io.Writer, scenarioHash string,
-	extraAttach ...func(*cpu.Machine)) ([]*RunReport, error) {
-	return RunCampaignOpts(cells, CampaignOptions{
-		Scale: scale, MaxCycles: maxCycles, Workers: workers,
-		Metrics: metrics, ScenarioHash: scenarioHash, Attach: extraAttach,
-	})
-}
-
-// RunCampaignOpts runs the campaign grid under one set of options. When a
-// cell cache is configured (Store, ResultHash, cell keys) and the campaign
-// is not instrumented, each cell first consults the store: a verified entry
-// whose embedded identity matches the cell is rehydrated instead of
-// simulated, and every cold result — divergent or not — is written back.
-// Cached and cold campaigns produce identical reports because every cell is
-// deterministic in (workload, mitigation, chaos config, scale, budget), all
-// of which are pinned by the result hash and cell key.
+// RunCampaignOpts executes every cell with up to opt.Workers running
+// concurrently (0 = GOMAXPROCS) and returns one report per cell, in cell
+// order. The result is deterministic for any worker count: chaos randomness
+// is seeded per cell, and reports are collected positionally. A cell that
+// cannot run at all stops the campaign; the first error (in cell order) is
+// returned with the reports of the cells before it.
+//
+// When a cell cache is configured (Store, ResultHash, cell keys) and the
+// campaign is not instrumented, each cell first consults the store: a
+// verified entry whose embedded identity matches the cell is rehydrated
+// instead of simulated, and every cold result — divergent or not — is
+// written back. Cached and cold campaigns produce identical reports because
+// every cell is deterministic in (workload, mitigation, chaos config, scale,
+// budget), all of which are pinned by the result hash and cell key.
 func RunCampaignOpts(cells []CampaignCell, opt CampaignOptions) ([]*RunReport, error) {
 	cacheable := opt.Store != nil && opt.ResultHash != "" &&
 		opt.Metrics == nil && len(opt.Attach) == 0
@@ -110,9 +85,6 @@ func RunCampaignOpts(cells []CampaignCell, opt CampaignOptions) ([]*RunReport, e
 			}
 		}
 		attach := append([]func(*cpu.Machine){}, opt.Attach...)
-		if opt.NoSkipIdle {
-			attach = append(attach, func(m *cpu.Machine) { m.SkipIdle = false })
-		}
 		var met *obs.Metrics
 		if opt.Metrics != nil {
 			attach = append(attach, func(m *cpu.Machine) {

@@ -38,7 +38,7 @@ func TestRunCampaignParallelDeterminism(t *testing.T) {
 	}
 
 	run := func(workers int) string {
-		reps, err := RunCampaign(cells, 0.02, 50_000_000, workers)
+		reps, err := RunCampaignOpts(cells, CampaignOptions{Scale: 0.02, MaxCycles: 50_000_000, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -85,7 +85,9 @@ func TestRunCampaignMetricsDeterminism(t *testing.T) {
 
 	run := func(workers int) (string, string) {
 		var metrics bytes.Buffer
-		reps, err := RunCampaignMetrics(cells, 0.02, 50_000_000, workers, &metrics, "")
+		reps, err := RunCampaignOpts(cells, CampaignOptions{
+			Scale: 0.02, MaxCycles: 50_000_000, Workers: workers, Metrics: &metrics,
+		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -113,7 +115,7 @@ func TestRunCampaignMetricsDeterminism(t *testing.T) {
 		}
 	}
 	// Metrics must be an observer: the plain campaign sees the same reports.
-	plain, err := RunCampaign(cells, 0.02, 50_000_000, 1)
+	plain, err := RunCampaignOpts(cells, CampaignOptions{Scale: 0.02, MaxCycles: 50_000_000, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,6 +67,16 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
+// KindSetName names a set of kinds as campaign reports print it, joined
+// with "+" (e.g. "evict+latency").
+func KindSetName(ks []Kind) string {
+	names := make([]string, len(ks))
+	for i, k := range ks {
+		names[i] = k.String()
+	}
+	return strings.Join(names, "+")
+}
+
 // ParseKind resolves a kind name (as printed by String).
 func ParseKind(s string) (Kind, error) {
 	for k, name := range kindNames {

@@ -420,10 +420,9 @@ func MeasureSweep(specs []*workloads.Spec, mits []core.Mitigation, opt Options) 
 
 // MeasurePerf produces the full report: single-core steady state, golden
 // interpreter throughput, the serial-vs-parallel sweep comparison and the
-// sampled-vs-full sweep comparison. The sweep legs run at opt.Workers (0 = GOMAXPROCS, the
-// historical pin) and the resolved pool size is recorded in the report —
-// the -sweep-workers flag reaches here, it is no longer silently
-// overridden. Warmup for the single-core leg comes from opt's WarmupCycles
+// sampled-vs-full sweep comparison. The sweep legs run at opt.Workers (0 =
+// GOMAXPROCS, the historical pin; specasan-bench -perf passes -workers) and
+// the resolved pool size is recorded in the report. Warmup for the single-core leg comes from opt's WarmupCycles
 // knob (DefaultWarmupCycles when unset).
 func MeasurePerf(steps uint64, specs []*workloads.Spec, mits []core.Mitigation, opt Options) (*PerfReport, error) {
 	single, err := MeasureSingleCore(steps, opt.warmup())

@@ -1,10 +1,6 @@
 package harness
 
-import (
-	"fmt"
-
-	"specasan/internal/scenario"
-)
+import "specasan/internal/scenario"
 
 // OptionsFromScenario converts a scenario's run section into harness Options:
 // the scenario's machine becomes the run config, its run knobs map onto
@@ -34,27 +30,4 @@ func OptionsFromScenario(s *scenario.Scenario) Options {
 			MaxRetries:   retries,
 		},
 	}
-}
-
-// RunScenarioSweep runs the sweep a scenario describes: its workloads against
-// its mitigations under its machine, with opt supplying the output plumbing
-// (Log/Metrics/Attach/Verbose). Run-shape fields of opt (Scale, MaxCycles,
-// Workers, NoSkipIdle, Config, ScenarioHash) are overwritten from the
-// scenario so the sweep cannot silently diverge from the hash it stamps.
-func RunScenarioSweep(s *scenario.Scenario, opt Options) (*Sweep, error) {
-	specs, err := s.WorkloadSpecs()
-	if err != nil {
-		return nil, err
-	}
-	mits, err := s.MitigationList()
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-	}
-	so := OptionsFromScenario(s)
-	so.Verbose, so.Log, so.Metrics, so.Attach = opt.Verbose, opt.Log, opt.Metrics, opt.Attach
-	so.Store = opt.Store // cache keying (ResultHash) comes from the scenario
-	return RunSweep(specs, mits, so)
 }

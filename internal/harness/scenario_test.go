@@ -9,6 +9,21 @@ import (
 	"specasan/internal/workloads"
 )
 
+// runScenario runs the sweep a scenario describes: its workloads against its
+// mitigations under OptionsFromScenario, the route every scenario-driven
+// command takes.
+func runScenario(s *scenario.Scenario) (*Sweep, error) {
+	specs, err := s.WorkloadSpecs()
+	if err != nil {
+		return nil, err
+	}
+	mits, err := s.MitigationList()
+	if err != nil {
+		return nil, err
+	}
+	return RunSweep(specs, mits, OptionsFromScenario(s))
+}
+
 // A scenario-driven sweep must be byte-identical to the flag-style RunSweep
 // call it describes: same workloads, mitigations, machine, and run knobs
 // produce the same formatted table, so switching a script to -scenario can
@@ -34,7 +49,7 @@ func TestScenarioSweepMatchesFlagSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	scenSw, err := RunScenarioSweep(s, Options{})
+	scenSw, err := runScenario(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +69,7 @@ func TestScenarioSweepRunsRegistryPolicy(t *testing.T) {
 	s.Mitigations = []string{"Unsafe", "DelayOnMiss"}
 	s.Run.Scale = 0.02
 
-	sw, err := RunScenarioSweep(s, Options{})
+	sw, err := runScenario(s)
 	if err != nil {
 		t.Fatal(err)
 	}

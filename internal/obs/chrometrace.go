@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 )
 
 // Chrome trace-event export. The output is the Trace Event Format's "JSON
@@ -176,4 +177,17 @@ func WriteChromeTrace(w io.Writer, tr *Tracer) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
+}
+
+// WriteChromeTraceFile writes the tracer's Chrome trace-event JSON to path.
+func WriteChromeTraceFile(path string, tr *Tracer) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteChromeTrace(f, tr); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -63,3 +63,14 @@ func (s *Scenario) CampaignCells() ([]chaos.CampaignCell, error) {
 	}
 	return cells, nil
 }
+
+// CampaignOptions returns the campaign-wide options the scenario sets for
+// its CampaignCells: scale, cycle budget and worker pool, the content hash
+// stamped into metrics records and the result hash that keys the cell
+// cache. Callers add the output plumbing (Metrics, Store).
+func (s *Scenario) CampaignOptions() chaos.CampaignOptions {
+	return chaos.CampaignOptions{
+		Scale: s.Run.Scale, MaxCycles: s.Run.MaxCycles, Workers: s.Run.Workers,
+		ScenarioHash: s.Hash(), ResultHash: s.ResultHash(),
+	}
+}

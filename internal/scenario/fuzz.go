@@ -1,11 +1,10 @@
 package scenario
 
 // FuzzOptions configures an attack-discovery fuzzing run (specasan-fuzz):
-// the generator seed and the stopping rule. Exactly one of Candidates
-// (deterministic count — same seed gives a byte-identical PoC corpus at any
-// worker count) or BudgetSeconds (wall-clock bound: whole candidate batches
-// run until the budget expires) is typically set; with both, whichever
-// limit hits first stops the run.
+// the generator seed and the stopping rule. Candidates > 0 runs exactly that
+// many candidates (same seed gives a byte-identical PoC corpus at any worker
+// count) and ignores BudgetSeconds; Candidates == 0 runs whole candidate
+// batches until BudgetSeconds expires.
 type FuzzOptions struct {
 	// Seed drives candidate generation; candidate i is a pure function of
 	// (Seed, i).
@@ -13,7 +12,7 @@ type FuzzOptions struct {
 	// Candidates is the number of candidates to generate and evaluate
 	// (0 = unbounded, rely on BudgetSeconds).
 	Candidates int `json:"candidates,omitempty"`
-	// BudgetSeconds bounds the run's wall-clock time (0 = no bound).
+	// BudgetSeconds bounds the wall-clock time of a Candidates == 0 run.
 	BudgetSeconds int `json:"budget_seconds,omitempty"`
 }
 

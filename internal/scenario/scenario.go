@@ -332,27 +332,6 @@ func ParseMitigationNames(names []string) ([]core.Mitigation, error) {
 	return out, nil
 }
 
-// ParseMitigationList parses a comma-separated, case-insensitive mitigation
-// list — the one flag-parsing helper behind every CLI's -mitigation/-mits
-// flag (previously each CLI re-implemented this).
-func ParseMitigationList(csv string) ([]core.Mitigation, error) {
-	return ParseMitigationNames(splitCSV(csv))
-}
-
-// ParseWorkloadList parses a comma-separated benchmark-name list into specs.
-func ParseWorkloadList(csv string) ([]*workloads.Spec, error) {
-	names := splitCSV(csv)
-	out := make([]*workloads.Spec, 0, len(names))
-	for _, name := range names {
-		spec := workloads.ByName(name)
-		if spec == nil {
-			return nil, fmt.Errorf("unknown workload %q", name)
-		}
-		out = append(out, spec)
-	}
-	return out, nil
-}
-
 // MitigationNames renders mitigations back to their canonical display names
 // (the inverse of ParseMitigationNames, for stamping scenarios built from
 // flags).

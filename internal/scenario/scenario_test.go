@@ -246,10 +246,19 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
-// The shared CLI list helpers: case-insensitive mitigation names, trimmed
-// CSV, real errors for unknowns.
+// The list knobs (-mits, -workloads): case-insensitive mitigation names,
+// trimmed CSV, real errors for unknowns.
 func TestParseLists(t *testing.T) {
-	mits, err := ParseMitigationList(" unsafe, SPECASAN ,SpecASan+CFI")
+	resolve := func(args ...string) (*Scenario, error) {
+		f := NewFlags("test", Default(), "mits", "workloads")
+		f.Parse(args)
+		return f.Resolve()
+	}
+	s, err := resolve("-mits", " unsafe, SPECASAN ,SpecASan+CFI", "-workloads", "505.mcf_r, 541.leela_r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mits, err := s.MitigationList()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,14 +268,13 @@ func TestParseLists(t *testing.T) {
 			t.Errorf("mits[%d] = %v, want %v", i, mits[i], m)
 		}
 	}
-	if _, err := ParseMitigationList("Unsafe,Bogus"); err == nil {
-		t.Error("unknown mitigation accepted")
-	}
-	specs, err := ParseWorkloadList("505.mcf_r, 541.leela_r")
-	if err != nil || len(specs) != 2 {
+	if specs, err := s.WorkloadSpecs(); err != nil || len(specs) != 2 {
 		t.Fatalf("workload list: %v, %d specs", err, len(specs))
 	}
-	if _, err := ParseWorkloadList("505.mcf_r,nope"); err == nil {
+	if _, err := resolve("-mits", "Unsafe,Bogus"); err == nil {
+		t.Error("unknown mitigation accepted")
+	}
+	if _, err := resolve("-workloads", "505.mcf_r,nope"); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }

@@ -183,19 +183,11 @@ func New(cfg Config) (*Server, error) {
 	// One bucket per 25ms, top bucket absorbing the tail.
 	s.latency = s.reg.Histogram("serve", "cell_latency_ms", 25, 64)
 	if cfg.StoreDir != "" {
-		st, err := store.Open(cfg.StoreDir)
+		st, err := store.OpenPruned(cfg.StoreDir, cfg.StoreMaxBytes, cfg.Log, "specasan-serve")
 		if err != nil {
 			return nil, fmt.Errorf("serve: store: %w", err)
 		}
 		s.store = st
-		if st.ReadOnly() {
-			s.logf("store %s is read-only: serving cached results, not persisting new ones", cfg.StoreDir)
-		}
-		if removed, freed, err := st.Prune(cfg.StoreMaxBytes); err != nil {
-			s.logf("%v", err)
-		} else if removed > 0 {
-			s.logf("store pruned %d entries (%d bytes) to fit max %d", removed, freed, cfg.StoreMaxBytes)
-		}
 	}
 	s.queue = make(chan task, cfg.QueueDepth)
 	s.wg.Add(cfg.Workers)
@@ -281,10 +273,8 @@ func (s *Server) buildJob(scn *scenario.Scenario) (*job, error) {
 		if len(cells) == 0 {
 			return nil, fmt.Errorf("scenario %q expands to no cells", scn.Name)
 		}
-		opt := chaos.CampaignOptions{
-			Scale: scn.Run.Scale, MaxCycles: scn.Run.MaxCycles, Workers: 1,
-			ResultHash: scn.ResultHash(), NoSkipIdle: !scn.Run.SkipIdle,
-		}
+		opt := scn.CampaignOptions()
+		opt.Workers = 1 // the server's pool runs the cells
 		if s.store != nil {
 			opt.Store = chaos.DiskCampaignStore{S: s.store}
 		}
@@ -294,7 +284,7 @@ func (s *Server) buildJob(scn *scenario.Scenario) (*job, error) {
 			i, c := i, c
 			j.cells[i] = CellOutcome{
 				Bench: c.Spec.Name, Mitigation: c.Mit.String(),
-				Kinds: kindSetName(c.Cfg.Kinds), Seed: c.Cfg.Seed,
+				Kinds: chaos.KindSetName(c.Cfg.Kinds), Seed: c.Cfg.Seed,
 			}
 			j.run[i] = func() CellOutcome {
 				out := j.cells[i]
@@ -353,14 +343,6 @@ func (s *Server) buildJob(scn *scenario.Scenario) (*job, error) {
 		}
 	}
 	return j, nil
-}
-
-func kindSetName(ks []chaos.Kind) string {
-	names := make([]string, len(ks))
-	for i, k := range ks {
-		names[i] = k.String()
-	}
-	return strings.Join(names, "+")
 }
 
 // worker drains the cell queue until it closes.

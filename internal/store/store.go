@@ -140,6 +140,26 @@ func Open(root string) (*Store, error) {
 	return s, nil
 }
 
+// OpenPruned is how the commands and the sweep service open their store:
+// Open, then Prune to maxBytes (0 = unbounded). A read-only store and any
+// pruning, or a failed prune, are reported as lines on log, each starting
+// with "who: ".
+func OpenPruned(root string, maxBytes int64, log io.Writer, who string) (*Store, error) {
+	s, err := Open(root)
+	if err != nil {
+		return nil, err
+	}
+	if s.ReadOnly() {
+		fmt.Fprintf(log, "%s: store %s is read-only: serving cached results, not persisting new ones\n", who, root)
+	}
+	if removed, freed, err := s.Prune(maxBytes); err != nil {
+		fmt.Fprintf(log, "%s: %v\n", who, err)
+	} else if removed > 0 {
+		fmt.Fprintf(log, "%s: store pruned %d entries (%d bytes) to fit %d\n", who, removed, freed, maxBytes)
+	}
+	return s, nil
+}
+
 // sweepTemps removes temp files left by interrupted writes. Only files with
 // the temp prefix are touched; racing with a live writer is harmless because
 // live writers hold their temp file open only briefly and recreate on error.
