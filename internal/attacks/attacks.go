@@ -113,18 +113,27 @@ func RunVariant(v Variant, mit core.Mitigation) (*Outcome, error) {
 	return RunVariantWith(v, mit, nil)
 }
 
-// RunVariantWith executes one variant with a machine-preparation hook
-// applied after the scenario's own setup — the entry point the chaos
+// RunVariantWith builds one variant and runs it with a machine-preparation
+// hook applied after the scenario's own setup — the entry point the chaos
 // injector uses to perturb attack runs for verdict-invariance checking.
 func RunVariantWith(v Variant, mit core.Mitigation, prep func(*cpu.Machine)) (*Outcome, error) {
 	sc, err := v.Build()
 	if err != nil {
 		return nil, fmt.Errorf("build %s: %w", v.Name, err)
 	}
-	cfg := core.DefaultConfig()
-	m, err := cpu.NewMachine(cfg, mit, sc.Prog)
+	out, _, _, err := RunScenario(v.Name, sc, mit, prep)
+	return out, err
+}
+
+// RunScenario runs a built scenario under mit on a fresh machine, applying
+// prep after the scenario's setup, and derives the oracle outcome. It also
+// returns the finished machine and its run result, so a caller can inspect
+// the final state without simulating the same deterministic run again. A
+// scenario can be run any number of times: each run builds its own machine.
+func RunScenario(name string, sc *Scenario, mit core.Mitigation, prep func(*cpu.Machine)) (*Outcome, *cpu.Machine, *cpu.RunResult, error) {
+	m, err := cpu.NewMachine(core.DefaultConfig(), mit, sc.Prog)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	if sc.Setup != nil {
 		sc.Setup(m)
@@ -138,7 +147,7 @@ func RunVariantWith(v Variant, mit core.Mitigation, prep func(*cpu.Machine)) (*O
 	}
 	res := m.Run(maxC)
 	out := &Outcome{
-		Variant:     v.Name,
+		Variant:     name,
 		Leaked:      m.Oracle.Leaked(),
 		SecretReads: m.Oracle.SecretReads,
 		Events:      map[core.LeakChannel]int{},
@@ -149,7 +158,7 @@ func RunVariantWith(v Variant, mit core.Mitigation, prep func(*cpu.Machine)) (*O
 	for _, ev := range m.Oracle.Events() {
 		out.Events[ev.Channel]++
 	}
-	return out, nil
+	return out, m, res, nil
 }
 
 // Evaluate runs every variant of the attack under a mitigation and derives

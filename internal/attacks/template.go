@@ -161,15 +161,21 @@ func (s SetupSpec) Variant(name, src string, maxCycles uint64) Variant {
 		if err != nil {
 			return nil, err
 		}
-		spec := s // copy: the closure may run concurrently
-		return &Scenario{Prog: prog, MaxCycles: maxCycles, Setup: func(m *cpu.Machine) {
-			if err := spec.Apply(m, prog); err != nil {
-				// Label resolution failed after a successful assemble —
-				// structurally impossible for template output; surface
-				// loudly rather than silently skipping the poison.
-				panic(err)
-			}
-		}}, nil
+		return s.Scenario(prog, maxCycles), nil
+	}}
+}
+
+// Scenario wraps an assembled program plus the setup as a Scenario for
+// RunScenario, for a caller that already holds the program. maxCycles bounds
+// each run (0 keeps the harness default).
+func (s SetupSpec) Scenario(prog *asm.Program, maxCycles uint64) *Scenario {
+	return &Scenario{Prog: prog, MaxCycles: maxCycles, Setup: func(m *cpu.Machine) {
+		if err := s.Apply(m, prog); err != nil {
+			// Label resolution failed after a successful assemble —
+			// structurally impossible for template output; surface
+			// loudly rather than silently skipping the poison.
+			panic(err)
+		}
 	}}
 }
 

@@ -15,6 +15,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"specasan/internal/mem"
 	"specasan/internal/mte"
@@ -42,25 +43,45 @@ const (
 )
 
 // Level is a single cache (L1I, L1D or L2).
+//
+// Line metadata lives in chunks of up to maxChunkSets consecutive sets, each
+// allocated by the first fill of any of its sets. An attack PoC or a fuzz
+// candidate runs a few thousand cycles and touches a handful of the L2's
+// 1,024 sets, so its machine pays for those chunks rather than for the
+// whole 655 KB array; a long kernel that touches every set ends up with all
+// of them.
 type Level struct {
 	name   string
-	sets   int
 	ways   int
 	lineSz int
 	hitLat uint64
-	lines  []line // sets*ways, row-major
-	mshr   []uint64
-	port   []uint64 // per-port next-free cycle
+
+	// Set and chunk selection by shift and mask: a probe never divides.
+	lineShift  uint     // log2(lineSz)
+	setMask    uint64   // sets-1
+	chunkShift uint     // log2(sets per chunk)
+	chunkMask  uint64   // sets per chunk - 1
+	chunks     [][]line // chunk i holds sets [i<<chunkShift, (i+1)<<chunkShift), row-major; nil until filled
+
+	mshr []uint64
+	port []uint64 // per-port next-free cycle
 
 	// Stats.
 	Hits, Misses, Evictions, Writebacks, MSHRStalls uint64
 }
+
+// maxChunkSets is the number of sets a line chunk covers (fewer when the
+// level has fewer sets).
+const maxChunkSets = 16
 
 // NewLevel builds a cache level. ports is the number of same-cycle access
 // ports; mshrs bounds outstanding misses.
 func NewLevel(name string, sizeBytes, ways, lineSz int, hitLat uint64, ports, mshrs int) (*Level, error) {
 	if ways <= 0 || lineSz <= 0 {
 		return nil, fmt.Errorf("cache %s: ways (%d) and line size (%d) must be positive", name, ways, lineSz)
+	}
+	if lineSz&(lineSz-1) != 0 {
+		return nil, fmt.Errorf("cache %s: line size %d not a power of two", name, lineSz)
 	}
 	sets := sizeBytes / (ways * lineSz)
 	if sets == 0 || sets&(sets-1) != 0 {
@@ -69,48 +90,61 @@ func NewLevel(name string, sizeBytes, ways, lineSz int, hitLat uint64, ports, ms
 	if ports <= 0 || mshrs <= 0 {
 		return nil, fmt.Errorf("cache %s: ports (%d) and MSHRs (%d) must be positive", name, ports, mshrs)
 	}
+	chunkSets := min(sets, maxChunkSets)
 	return &Level{
-		name: name, sets: sets, ways: ways, lineSz: lineSz, hitLat: hitLat,
-		lines: make([]line, sets*ways),
-		mshr:  make([]uint64, mshrs),
-		port:  make([]uint64, ports),
+		name: name, ways: ways, lineSz: lineSz, hitLat: hitLat,
+		lineShift:  uint(bits.TrailingZeros(uint(lineSz))),
+		setMask:    uint64(sets - 1),
+		chunkShift: uint(bits.TrailingZeros(uint(chunkSets))),
+		chunkMask:  uint64(chunkSets - 1),
+		chunks:     make([][]line, sets/chunkSets),
+		mshr:       make([]uint64, mshrs),
+		port:       make([]uint64, ports),
 	}, nil
 }
 
 func (l *Level) lineAddr(addr uint64) uint64 { return addr &^ uint64(l.lineSz-1) }
 
-func (l *Level) setOf(addr uint64) int {
-	return int((addr / uint64(l.lineSz)) & uint64(l.sets-1))
+// set returns the ways of addr's set, allocating its chunk when alloc is
+// set; without alloc a set whose chunk was never filled is nil.
+func (l *Level) set(addr uint64, alloc bool) []line {
+	s := (addr >> l.lineShift) & l.setMask
+	c := l.chunks[s>>l.chunkShift]
+	if c == nil {
+		if !alloc {
+			return nil
+		}
+		c = make([]line, (l.chunkMask+1)*uint64(l.ways))
+		l.chunks[s>>l.chunkShift] = c
+	}
+	base := int(s&l.chunkMask) * l.ways
+	return c[base : base+l.ways]
 }
 
-// lookup returns the way holding addr's line, or -1.
-func (l *Level) lookup(addr uint64) int {
+// find returns addr's line if it is present, or nil.
+func (l *Level) find(addr uint64) *line {
 	la := l.lineAddr(addr)
-	s := l.setOf(addr)
-	for w := 0; w < l.ways; w++ {
-		ln := &l.lines[s*l.ways+w]
-		if ln.valid && ln.addr == la {
-			return w
+	set := l.set(addr, false)
+	for w := range set {
+		if set[w].valid && set[w].addr == la {
+			return &set[w]
 		}
 	}
-	return -1
+	return nil
 }
 
-func (l *Level) at(addr uint64, way int) *line {
-	return &l.lines[l.setOf(addr)*l.ways+way]
-}
-
-// victim picks the LRU way in addr's set.
-func (l *Level) victim(addr uint64) int {
-	s := l.setOf(addr)
-	best, bestUse := 0, ^uint64(0)
-	for w := 0; w < l.ways; w++ {
-		ln := &l.lines[s*l.ways+w]
+// victim picks the line to fill in addr's set: the first invalid way, else
+// the least recently used one.
+func (l *Level) victim(addr uint64) *line {
+	set := l.set(addr, true)
+	best := &set[0]
+	for w := range set {
+		ln := &set[w]
 		if !ln.valid {
-			return w
+			return ln
 		}
-		if ln.lastUse < bestUse {
-			best, bestUse = w, ln.lastUse
+		if ln.lastUse < best.lastUse {
+			best = ln
 		}
 	}
 	return best
@@ -165,8 +199,7 @@ func (l *Level) mshrOccupancy(now uint64) int {
 // install fills addr's line, returning the evicted dirty line address (or 0)
 // so the caller can account the writeback.
 func (l *Level) install(addr uint64, now, validAt uint64, st mesi) (wbAddr uint64, wb bool) {
-	w := l.victim(addr)
-	ln := l.at(addr, w)
+	ln := l.victim(addr)
 	if ln.valid {
 		l.Evictions++
 		if ln.dirty {
@@ -180,8 +213,7 @@ func (l *Level) install(addr uint64, now, validAt uint64, st mesi) (wbAddr uint6
 
 // invalidate drops addr's line if present, reporting whether it was dirty.
 func (l *Level) invalidate(addr uint64) (wasDirty, present bool) {
-	if w := l.lookup(addr); w >= 0 {
-		ln := l.at(addr, w)
+	if ln := l.find(addr); ln != nil {
 		ln.valid = false
 		return ln.dirty, true
 	}
@@ -191,8 +223,8 @@ func (l *Level) invalidate(addr uint64) (wasDirty, present bool) {
 // Contains reports whether addr's line is valid (and filled) at cycle now —
 // the probe the Flush+Reload analysis uses.
 func (l *Level) Contains(addr uint64, now uint64) bool {
-	w := l.lookup(addr)
-	return w >= 0 && l.at(addr, w).validAt <= now
+	ln := l.find(addr)
+	return ln != nil && ln.validAt <= now
 }
 
 // lfbEntry is one line-fill-buffer slot: a line in transit from below,
@@ -530,7 +562,7 @@ type AccessRes struct {
 // deciding whether it may touch the hierarchy at all.
 func (h *Hierarchy) Probe(core int, ptr uint64, now uint64, includeLFB bool) bool {
 	addr := mte.Strip(ptr)
-	if h.L1D[core].lookup(addr) >= 0 {
+	if h.L1D[core].find(addr) != nil {
 		return true
 	}
 	if !includeLFB {
@@ -587,8 +619,7 @@ func (h *Hierarchy) Access(req AccessReq) AccessRes {
 	}
 
 	// L1 hit path.
-	if w := l1.lookup(addr); w >= 0 {
-		ln := l1.at(addr, w)
+	if ln := l1.find(addr); ln != nil {
 		ready := start + l1.hitLat
 		if ln.validAt > ready {
 			ready = ln.validAt // hit under fill
@@ -701,7 +732,7 @@ func (h *Hierarchy) Access(req AccessReq) AccessRes {
 	}
 	if req.Write {
 		h.dirFor(la).modified = true
-		l1.at(addr, l1.lookup(addr)).dirty = true
+		l1.find(addr).dirty = true
 	}
 	d.sharers |= 1 << uint(req.Core)
 	if st != shared {
@@ -719,7 +750,7 @@ func (h *Hierarchy) Access(req AccessReq) AccessRes {
 // memory into the cache is dropped, closing the §6 prefetch leak.
 func (h *Hierarchy) prefetchNext(core int, lineAddr uint64, triggerDataAt uint64) {
 	next := lineAddr + uint64(h.lineSz)
-	if h.L1D[core].lookup(next) >= 0 || h.LFBs[core].find(next, triggerDataAt) != nil {
+	if h.L1D[core].find(next) != nil || h.LFBs[core].find(next, triggerDataAt) != nil {
 		return
 	}
 	if h.prefetchChecked && h.mteOn {
@@ -787,8 +818,7 @@ func (h *Hierarchy) fetchFromL2(core int, lineAddr uint64, now uint64, forWrite,
 	}
 
 	start := h.L2.reservePort(now)
-	if w := h.L2.lookup(lineAddr); w >= 0 {
-		ln := h.L2.at(lineAddr, w)
+	if ln := h.L2.find(lineAddr); ln != nil {
 		ready := start + h.L2.hitLat
 		if ln.validAt > ready {
 			ready = ln.validAt
@@ -820,8 +850,8 @@ func (h *Hierarchy) fetchFromL2(core int, lineAddr uint64, now uint64, forWrite,
 
 // writebackToL2 accounts an L1 dirty eviction.
 func (h *Hierarchy) writebackToL2(lineAddr uint64, now uint64) {
-	if w := h.L2.lookup(lineAddr); w >= 0 {
-		h.L2.at(lineAddr, w).dirty = true
+	if ln := h.L2.find(lineAddr); ln != nil {
+		ln.dirty = true
 		return
 	}
 	// L1 victim no longer in L2 (rare with inclusion): send to memory.
@@ -834,7 +864,7 @@ func (h *Hierarchy) PromoteGhost(core int, ptr uint64, now uint64) uint64 {
 	g := h.Ghost[core]
 	addr := mte.Strip(ptr)
 	la := h.lineAddr(addr)
-	if h.L1D[core].lookup(addr) >= 0 {
+	if h.L1D[core].find(addr) != nil {
 		g.drop(la)
 		return 0
 	}
@@ -896,24 +926,30 @@ func (h *Hierarchy) ChaosEvictLine(core int, idx int, now uint64) bool {
 	}
 	l1 := h.L1D[core]
 	n := 0
-	for i := range l1.lines {
-		if l1.lines[i].valid {
-			n++
+	for _, c := range l1.chunks {
+		for i := range c {
+			if c[i].valid {
+				n++
+			}
 		}
 	}
 	if n == 0 {
 		return false
 	}
+	// Chunks in index order, lines row-major within each, visit the lines
+	// in set-major order.
 	k := idx % n
-	for i := range l1.lines {
-		if !l1.lines[i].valid {
-			continue
+	for _, c := range l1.chunks {
+		for i := range c {
+			if !c[i].valid {
+				continue
+			}
+			if k == 0 {
+				h.FlushLine(c[i].addr, now)
+				return true
+			}
+			k--
 		}
-		if k == 0 {
-			h.FlushLine(l1.lines[i].addr, now)
-			return true
-		}
-		k--
 	}
 	return false
 }
@@ -923,8 +959,7 @@ func (h *Hierarchy) FetchInst(core int, pc uint64, now uint64) (readyAt uint64) 
 	l1 := h.L1I[core]
 	addr := mte.Strip(pc)
 	start := l1.reservePort(now)
-	if w := l1.lookup(addr); w >= 0 {
-		ln := l1.at(addr, w)
+	if ln := l1.find(addr); ln != nil {
 		ready := start + l1.hitLat
 		if ln.validAt > ready {
 			ready = ln.validAt

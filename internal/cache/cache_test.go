@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"sort"
+	"strings"
 	"testing"
 
 	"specasan/internal/mem"
@@ -301,5 +303,191 @@ func TestCheckedPrefetcherStopsAtTagBoundary(t *testing.T) {
 	h.Access(AccessReq{Core: 0, Ptr: mte.WithKey(attacker+128, 0xc), Size: 8, Now: 400})
 	if h.Prefetches != 1 {
 		t.Fatalf("same-tag prefetch must proceed, got %d", h.Prefetches)
+	}
+}
+
+func TestLevelSmallerThanAChunk(t *testing.T) {
+	// 1 KB, 2-way, 64 B lines: 8 sets, fewer than one chunk holds.
+	l, err := NewLevel("tiny", 1024, 2, 64, 1, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sets := l.setMask + 1; sets != 8 || len(l.chunks) != 1 {
+		t.Fatalf("sets = %d, chunks = %d; want 8 sets in 1 chunk", sets, len(l.chunks))
+	}
+	// Three lines in set 3 of a 2-way level: the third evicts the LRU one.
+	stride := uint64(8 * 64)
+	a, b, c := uint64(3*64), 3*64+stride, 3*64+2*stride
+	l.install(a, 1, 1, shared)
+	l.install(b, 2, 2, shared)
+	if l.find(a) == nil || l.find(b) == nil {
+		t.Fatal("both lines must fit the 2-way set")
+	}
+	l.install(c, 3, 3, shared)
+	if l.find(a) != nil || l.find(b) == nil || l.find(c) == nil || l.Evictions != 1 {
+		t.Fatalf("LRU eviction wrong: a=%v b=%v c=%v evictions=%d",
+			l.find(a) != nil, l.find(b) != nil, l.find(c) != nil, l.Evictions)
+	}
+	// Another set of the same (only) chunk.
+	if !l.Contains(c, 3) || l.Contains(7*64, 100) {
+		t.Fatal("Contains disagrees with the fills")
+	}
+}
+
+func TestNewLevelRejectsNonPowerOfTwoLineSize(t *testing.T) {
+	// 3 KB, 2-way, 48 B lines would give 32 sets, but set selection shifts
+	// by log2(line size), so the line size itself must be a power of two.
+	if _, err := NewLevel("odd", 3072, 2, 48, 1, 1, 1); err == nil || !strings.Contains(err.Error(), "line size 48") {
+		t.Fatalf("err = %v, want a line-size error", err)
+	}
+	if _, err := NewLevel("even", 4096, 2, 64, 1, 1, 1); err != nil {
+		t.Fatalf("power-of-two line size rejected: %v", err)
+	}
+}
+
+// setMajorLines returns l's valid line addresses in set-major order (set,
+// then way), walking sets by index rather than by chunk.
+func setMajorLines(l *Level) []uint64 {
+	var out []uint64
+	for s := uint64(0); s <= l.setMask; s++ {
+		set := l.set(s<<l.lineShift, false)
+		for w := range set {
+			if set[w].valid {
+				out = append(out, set[w].addr)
+			}
+		}
+	}
+	return out
+}
+
+func TestChaosEvictLineSetMajorAcrossChunks(t *testing.T) {
+	// Lines in sets 0, 5, 17, 40, 200 and 255 of the 256-set L1D span five
+	// 16-set chunks; sets 17 and 200 hold both ways.
+	setStride := uint64(256 * 64)
+	var addrs []uint64
+	for _, s := range []uint64{200, 17, 255, 0, 40, 5} {
+		addrs = append(addrs, 0x100000+s*64)
+	}
+	addrs = append(addrs, 0x100000+setStride+17*64, 0x100000+setStride+200*64)
+	fill := func() (*Hierarchy, uint64) {
+		h, _ := newHier(false, false)
+		var now uint64
+		for _, a := range addrs {
+			now = h.Access(AccessReq{Core: 0, Ptr: a, Size: 8, Now: now}).ReadyAt + 1
+		}
+		return h, now + 1000
+	}
+	h, _ := fill()
+	ref := setMajorLines(h.L1D[0])
+	if len(ref) != len(addrs) {
+		t.Fatalf("%d lines cached, want %d", len(ref), len(addrs))
+	}
+	allocated := 0
+	for _, c := range h.L1D[0].chunks {
+		if c != nil {
+			allocated++
+		}
+	}
+	if allocated != 5 {
+		t.Fatalf("%d L1D chunks allocated, want the 5 the fills touched", allocated)
+	}
+	for idx := 0; idx < 2*len(ref); idx++ {
+		h, now := fill()
+		if !h.ChaosEvictLine(0, idx, now) {
+			t.Fatalf("idx %d: nothing evicted", idx)
+		}
+		want := ref[idx%len(ref)]
+		for _, a := range ref {
+			if got := h.InL1D(0, a, now); got == (a == want) {
+				t.Fatalf("idx %d: line %#x present=%v; the set-major walk evicts %#x", idx, a, got, want)
+			}
+		}
+	}
+	empty, _ := newHier(false, false)
+	if empty.ChaosEvictLine(0, 3, 0) {
+		t.Fatal("an empty L1D has nothing to evict")
+	}
+}
+
+// lruModel is a reference set-associative LRU cache: per set, each resident
+// line address with the sequence number of its last touch.
+type lruModel struct {
+	sets, ways uint64
+	res        map[uint64]map[uint64]uint64
+}
+
+func (m *lruModel) touch(a, seq uint64) {
+	s := (a / 64) % m.sets
+	if m.res[s] == nil {
+		m.res[s] = map[uint64]uint64{}
+	}
+	set := m.res[s]
+	if _, ok := set[a]; !ok && uint64(len(set)) == m.ways {
+		oldest := a
+		for la, q := range set {
+			if oldest == a || q < set[oldest] {
+				oldest = la
+			}
+		}
+		delete(set, oldest)
+	}
+	set[a] = seq
+}
+
+// ranked returns each set's lines, least recent first.
+func (m *lruModel) ranked() [][]uint64 {
+	var out [][]uint64
+	for _, set := range m.res {
+		lines := make([]uint64, 0, len(set))
+		for a := range set {
+			lines = append(lines, a)
+		}
+		sort.Slice(lines, func(i, j int) bool { return set[lines[i]] < set[lines[j]] })
+		out = append(out, lines)
+	}
+	return out
+}
+
+func TestFinishWarmRanksLRUPerSet(t *testing.T) {
+	// Replayed touches over sets in several chunks of the 2-way L1D and the
+	// 16-way L2, the first and last chunks included, revisiting lines out of
+	// order and overflowing L1D set 3.
+	// After FinishWarm each filled set ranks its lines 0..n-1 by last touch,
+	// as a reference LRU model says, and a full set's victim is rank 0.
+	h, _ := newHier(false, false)
+	l1d := &lruModel{sets: 256, ways: 2, res: map[uint64]map[uint64]uint64{}}
+	l2 := &lruModel{sets: 1024, ways: 16, res: map[uint64]map[uint64]uint64{}}
+	setStride := uint64(1024 * 64) // same set in both levels
+	type touch struct{ set, tag uint64 }
+	touches := []touch{{3, 0}, {3, 1}, {700, 0}, {3, 2}, {18, 0}, {700, 1}, {1023, 0}, {3, 1}, {18, 1}, {1023, 1}, {3, 0}, {700, 0}, {18, 2}}
+	for i, tc := range touches {
+		a := 0x400000 + tc.set*64 + tc.tag*setStride
+		seq := uint64(10000 + 100*i)
+		h.WarmData(0, a, false, seq)
+		l1d.touch(a, seq)
+		l2.touch(a, seq)
+	}
+	h.FinishWarm()
+	for _, lv := range []struct {
+		l     *Level
+		model *lruModel
+	}{{h.L1D[0], l1d}, {h.L2, l2}} {
+		n := 0
+		for _, lines := range lv.model.ranked() {
+			n += len(lines)
+			for rank, a := range lines {
+				if ln := lv.l.find(a); ln == nil || ln.lastUse != uint64(rank) {
+					t.Fatalf("%s: line %#x = %+v, want rank %d", lv.l.name, a, ln, rank)
+				}
+			}
+			if uint64(len(lines)) == lv.model.ways {
+				if v := lv.l.victim(lines[0]); v.addr != lines[0] {
+					t.Fatalf("%s: victim %#x, want the rank-0 line %#x", lv.l.name, v.addr, lines[0])
+				}
+			}
+		}
+		if got := len(setMajorLines(lv.l)); got != n {
+			t.Fatalf("%s holds %d lines, the model %d", lv.l.name, got, n)
+		}
 	}
 }

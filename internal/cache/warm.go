@@ -17,8 +17,7 @@ package cache
 // recency. An already-present line only has its recency and dirtiness
 // upgraded, never downgraded.
 func (l *Level) warm(addr uint64, seq uint64, st mesi, dirty bool) {
-	if w := l.lookup(addr); w >= 0 {
-		ln := l.at(addr, w)
+	if ln := l.find(addr); ln != nil {
 		ln.lastUse = seq
 		if dirty {
 			ln.state = modified
@@ -26,8 +25,7 @@ func (l *Level) warm(addr uint64, seq uint64, st mesi, dirty bool) {
 		}
 		return
 	}
-	w := l.victim(addr)
-	*l.at(addr, w) = line{valid: true, addr: l.lineAddr(addr), state: st, dirty: dirty, lastUse: seq}
+	*l.victim(addr) = line{valid: true, addr: l.lineAddr(addr), state: st, dirty: dirty, lastUse: seq}
 }
 
 // normalizeLRU rewrites every set's lastUse values to their recency rank
@@ -38,22 +36,23 @@ func (l *Level) warm(addr uint64, seq uint64, st mesi, dirty bool) {
 // victim. Ranks preserve the warmed recency order while sitting below any
 // live timestamp.
 func (l *Level) normalizeLRU() {
-	idx := make([]int, 0, l.ways)
-	for s := 0; s < l.sets; s++ {
-		base := s * l.ways
-		idx = idx[:0]
-		for w := 0; w < l.ways; w++ {
-			if l.lines[base+w].valid {
-				idx = append(idx, base+w)
+	byUse := make([]*line, 0, l.ways)
+	for _, c := range l.chunks { // a nil chunk holds no line
+		for base := 0; base < len(c); base += l.ways {
+			byUse = byUse[:0]
+			for w := base; w < base+l.ways; w++ {
+				if c[w].valid {
+					byUse = append(byUse, &c[w])
+				}
 			}
-		}
-		for i := 1; i < len(idx); i++ {
-			for j := i; j > 0 && l.lines[idx[j]].lastUse < l.lines[idx[j-1]].lastUse; j-- {
-				idx[j], idx[j-1] = idx[j-1], idx[j]
+			for i := 1; i < len(byUse); i++ {
+				for j := i; j > 0 && byUse[j].lastUse < byUse[j-1].lastUse; j-- {
+					byUse[j], byUse[j-1] = byUse[j-1], byUse[j]
+				}
 			}
-		}
-		for r, li := range idx {
-			l.lines[li].lastUse = uint64(r)
+			for r, ln := range byUse {
+				ln.lastUse = uint64(r)
+			}
 		}
 	}
 }

@@ -79,8 +79,3 @@ func (c *Candidate) Name() string {
 // evalMaxCycles bounds one candidate run. Generated programs finish in a
 // few thousand cycles; a candidate that spins this long is inconclusive.
 const evalMaxCycles = 400_000
-
-// Variant wraps the candidate as an attacks.Variant for RunVariantWith.
-func (c *Candidate) Variant() attacks.Variant {
-	return c.Setup.Variant(c.Name(), c.Source, evalMaxCycles)
-}

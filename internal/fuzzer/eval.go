@@ -1,6 +1,7 @@
 package fuzzer
 
 import (
+	"bytes"
 	"fmt"
 
 	"specasan/internal/asm"
@@ -9,6 +10,7 @@ import (
 	"specasan/internal/cpu"
 	"specasan/internal/golden"
 	"specasan/internal/isa"
+	"specasan/internal/mem"
 )
 
 // goldenBudget bounds the reference walk of one candidate, in instructions.
@@ -99,12 +101,14 @@ func EvaluateCandidate(c *Candidate, mits []core.Mitigation) *Evaluation {
 	}
 	ev.Valid = true
 
-	variant := c.Variant()
+	// One scenario over the program assembled above serves every
+	// mitigation; each run builds its own machine.
+	sc := c.Setup.Scenario(prog, evalMaxCycles)
 	for _, mit := range mits {
 		tier, reason := Claim(mit, c)
-		out, err := attacks.RunVariantWith(variant, mit, nil)
+		out, m, res, err := attacks.RunScenario(c.Name(), sc, mit, nil)
 		if err != nil {
-			// The source assembled above; a per-mitigation build error is
+			// The source assembled above; a per-mitigation machine error is
 			// structural and poisons the whole candidate.
 			ev.Valid = false
 			ev.InvalidReason = fmt.Sprintf("%v: %v", mit, err)
@@ -131,7 +135,7 @@ func EvaluateCandidate(c *Candidate, mits []core.Mitigation) *Evaluation {
 		case out.Leaked && tier >= ClaimKnownGap:
 			// Every flagged leak is cross-checked: a leak riding on wrong
 			// architectural state is a simulator bug, not an attack.
-			if crossCheck(c, prog, mit, gold[mit.MTEEnabled()]) != nil {
+			if crossCheck(m, res, prog, gold[mit.MTEEnabled()]) != nil {
 				ev.Diverged = append(ev.Diverged, mit.String())
 			} else if tier == ClaimBlocked {
 				ev.Counterexamples = append(ev.Counterexamples, mit.String())
@@ -143,19 +147,10 @@ func EvaluateCandidate(c *Candidate, mits []core.Mitigation) *Evaluation {
 	return ev
 }
 
-// crossCheck re-runs the candidate on the cycle-accurate machine under mit
-// and compares final architectural state — registers, program output, every
-// program data byte plus the secret region — against the golden walk.
-// Returns nil when bit-identical.
-func crossCheck(c *Candidate, prog *asm.Program, mit core.Mitigation, g *goldenState) error {
-	m, err := cpu.NewMachine(core.DefaultConfig(), mit, prog)
-	if err != nil {
-		return fmt.Errorf("machine: %w", err)
-	}
-	if err := c.Setup.Apply(m, prog); err != nil {
-		return err
-	}
-	res := m.Run(evalMaxCycles)
+// crossCheck compares the final architectural state of a finished machine
+// run — registers, program output, every program data byte plus the secret
+// region — against the golden walk. Returns nil when bit-identical.
+func crossCheck(m *cpu.Machine, res *cpu.RunResult, prog *asm.Program, g *goldenState) error {
 	if res.TimedOut || res.Err != nil {
 		return fmt.Errorf("machine inconclusive: %v", res)
 	}
@@ -174,17 +169,32 @@ func crossCheck(c *Candidate, prog *asm.Program, mit core.Mitigation, g *goldenS
 		return fmt.Errorf("output %q, golden %q", m.Core(0).Output, g.res.Output)
 	}
 	for _, d := range prog.Data {
-		for i := range d.Bytes {
-			a := d.Addr + uint64(i)
-			if got, want := m.Img.ByteAt(a), g.ip.Mem.ByteAt(a); got != want {
-				return fmt.Errorf("mem[%#x] = %d, golden %d", a, got, want)
-			}
+		if a, ok := firstDiff(m.Img, g.ip.Mem, d.Addr, uint64(len(d.Bytes))); ok {
+			return fmt.Errorf("mem[%#x] = %d, golden %d", a, m.Img.ByteAt(a), g.ip.Mem.ByteAt(a))
 		}
 	}
-	for a := uint64(attacks.SecretAddr); a < attacks.SecretAddr+attacks.SecretSize; a++ {
-		if got, want := m.Img.ByteAt(a), g.ip.Mem.ByteAt(a); got != want {
-			return fmt.Errorf("secret[%#x] = %d, golden %d", a, got, want)
-		}
+	if a, ok := firstDiff(m.Img, g.ip.Mem, attacks.SecretAddr, attacks.SecretSize); ok {
+		return fmt.Errorf("secret[%#x] = %d, golden %d", a, m.Img.ByteAt(a), g.ip.Mem.ByteAt(a))
 	}
 	return nil
+}
+
+// firstDiff compares n bytes from addr in two images a page-sized chunk at
+// a time and returns the address of the first byte that differs.
+func firstDiff(got, want *mem.Image, addr, n uint64) (uint64, bool) {
+	var a, b [mem.PageBytes]byte
+	for n > 0 {
+		k := min(n, mem.PageBytes)
+		got.ReadInto(addr, a[:k])
+		want.ReadInto(addr, b[:k])
+		if !bytes.Equal(a[:k], b[:k]) {
+			for i := range a[:k] {
+				if a[i] != b[i] {
+					return addr + uint64(i), true
+				}
+			}
+		}
+		addr, n = addr+k, n-k
+	}
+	return 0, false
 }

@@ -201,7 +201,7 @@ func TestMinimisePreservesLeak(t *testing.T) {
 		t.Fatalf("minimised body grew: %d > %d", len(min.Body), len(c.Body))
 	}
 	// The minimised candidate still replays the leak under the target.
-	out, err := attacks.RunVariantWith(min.Variant(), target, nil)
+	out, err := attacks.RunVariantWith(min.Setup.Variant(min.Name(), min.Source, evalMaxCycles), target, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
