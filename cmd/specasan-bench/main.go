@@ -14,7 +14,10 @@
 // their cells on a bounded worker pool (-workers, default GOMAXPROCS);
 // output is byte-identical to -workers=1. Within one machine the simulated
 // cores step serially in core-ID order. -store caches -scenario sweeps only:
-// the figures and -perf always simulate. -cpuprofile and -memprofile capture
+// the figures simulate each distinct cell once per run, sharing one
+// in-process memo (with -all, every Figure 8 cell and Figure 9's Unsafe and
+// SpecASan columns repeat a Figure 6 or 7 cell), and -metrics-out, -trace
+// and -perf runs simulate every cell. -cpuprofile and -memprofile capture
 // stdlib pprof profiles of the run.
 package main
 
@@ -70,7 +73,8 @@ func newFlags(stderr io.Writer) *scenario.Flags {
 func run(args []string, stdout, stderr io.Writer) int {
 	f := newFlags(stderr)
 	fig := f.Int("fig", 0, "figure to regenerate (1, 6, 7, 8, 9)")
-	all := f.Bool("all", false, "regenerate every figure")
+	all := f.Bool("all", false,
+		"regenerate every figure, simulating each distinct cell once (-metrics-out and -trace runs simulate every cell)")
 	perf := f.Bool("perf", false, "measure simulator performance and write a BENCH_sim.json report")
 	perfOut := f.String("perf-out", "BENCH_sim.json", "where -perf writes its report")
 	perfNote := f.String("perf-note", "",
@@ -207,6 +211,9 @@ func bench(f *scenario.Flags, figs []int, perf bool, perfOut, perfNote, traceCel
 		// defeat the point.
 		fmt.Fprintln(stderr, "specasan-bench: -store only applies to -scenario sweeps; ignored")
 	}
+	// The figure presets share one result hash, so a cell two figures
+	// contain simulates once and logs as cached with -v the second time.
+	memo := &harness.MemCellStore{}
 	for _, n := range figs {
 		if n == 1 {
 			if err := figure1(stdout); err != nil {
@@ -220,6 +227,7 @@ func bench(f *scenario.Flags, figs []int, perf bool, perfOut, perfNote, traceCel
 		if err != nil {
 			return err
 		}
+		opt.Store = memo
 		for i, suite := range bySuite(specs) {
 			sw, err := sweep(s, suite, opt, stderr)
 			if err != nil {

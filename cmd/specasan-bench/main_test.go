@@ -74,3 +74,26 @@ func TestPerfScenarioHash(t *testing.T) {
 		t.Fatalf("-perf scenario hash %s, want 08e5082201dd68c5", h)
 	}
 }
+
+// -all prints exactly what -fig 1, 6, 7, 8 and 9 print one after another,
+// though its figures share one in-process cell memo: each of the 140
+// distinct cells simulates once, and the 118 repeats log as cached.
+func TestAllEqualsFigures(t *testing.T) {
+	var all, allLog strings.Builder
+	if code := run([]string{"-all", "-scale", "0.001", "-v"}, &all, &allLog); code != 0 {
+		t.Fatalf("-all exit %d:\n%s", code, &allLog)
+	}
+	var figs strings.Builder
+	for _, n := range []string{"1", "6", "7", "8", "9"} {
+		var log strings.Builder
+		if code := run([]string{"-fig", n, "-scale", "0.001"}, &figs, &log); code != 0 {
+			t.Fatalf("-fig %s exit %d:\n%s", n, code, &log)
+		}
+	}
+	if all.String() != figs.String() {
+		t.Fatalf("-all stdout differs from -fig 1/6/7/8/9:\n%s\nwant:\n%s", &all, &figs)
+	}
+	if n := strings.Count(allLog.String(), " cached cycles="); n != 118 {
+		t.Fatalf("-all served %d cells from its memo, want 118", n)
+	}
+}

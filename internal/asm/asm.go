@@ -18,8 +18,8 @@
 //	    .word  1, 2, 3     // 64-bit little-endian words
 //	    .byte  0xff, 'a'
 //	    .ascii "secret"
-//	    .align 16
-//	    .space 64          // zero bytes
+//	    .align 16          // at most 4096
+//	    .space 64          // 64 zero bytes, reserved but never materialised
 //
 // Instructions occupy isa.InstBytes each; code and data share one address
 // space.
@@ -40,11 +40,17 @@ type CodeBlock struct {
 	Insts []isa.Inst
 }
 
-// DataBlock is a contiguous run of initialised bytes starting at Addr.
+// DataBlock is a contiguous run of data starting at Addr: either initialised
+// Bytes, or a .space reservation of Zero bytes that reads as zero and is
+// never materialised (Bytes nil).
 type DataBlock struct {
 	Addr  uint64
 	Bytes []byte
+	Zero  uint64
 }
+
+// Len is the block's extent in bytes.
+func (d DataBlock) Len() uint64 { return uint64(len(d.Bytes)) + d.Zero }
 
 // Program is the output of the assembler: code blocks, data blocks, the
 // resolved label table and the entry address.
@@ -115,6 +121,10 @@ func (p *Program) MustLabel(name string) uint64 {
 
 // DefaultBase is where assembly starts when no .org precedes the first item.
 const DefaultBase = 0x10000
+
+// maxAlign bounds .align at one 4 KiB page. Its padding is materialised, so
+// an unbounded alignment could ask for exabytes of zeros.
+const maxAlign = 4096
 
 // Error describes an assembly failure with its source line.
 type Error struct {
@@ -287,7 +297,7 @@ func (a *assembler) directive(n int, s string) error {
 		a.curCode, a.curData = nil, nil
 	case ".align":
 		v, err := parseNum(rest)
-		if err != nil || v <= 0 {
+		if err != nil || v <= 0 || v > maxAlign {
 			return &Error{n, ".align: bad alignment"}
 		}
 		al := uint64(v)
@@ -300,7 +310,11 @@ func (a *assembler) directive(n int, s string) error {
 		if err != nil || v < 0 {
 			return &Error{n, ".space: bad size"}
 		}
-		a.emitData(make([]byte, v))
+		if v > 0 {
+			a.data = append(a.data, DataBlock{Addr: a.pc, Zero: uint64(v)})
+			a.pc += uint64(v)
+			a.curCode, a.curData = nil, nil
+		}
 	case ".byte":
 		for _, f := range splitOperands(rest) {
 			v, err := parseNum(f)

@@ -131,6 +131,40 @@ after:
 	}
 }
 
+// TestSpaceReservesWithoutBytes pins the reservation form of .space: its own
+// block, Bytes nil and Len() the reserved size, so no loader has to
+// materialise zeros. .space 0 reserves nothing.
+func TestSpaceReservesWithoutBytes(t *testing.T) {
+	p := MustAssemble(`
+    .org 0x3000
+    .byte 7
+res:
+    .space 4096
+after:
+    .byte 9
+    .org 0x8000
+    .space 0
+`)
+	if len(p.Data) != 3 {
+		t.Fatalf("want 3 data blocks (byte, reservation, byte), got %d: %+v", len(p.Data), p.Data)
+	}
+	res := p.Data[1]
+	if res.Addr != p.MustLabel("res") || res.Bytes != nil || res.Len() != 4096 || res.Zero != 4096 {
+		t.Fatalf("reservation block = {Addr %#x, %d bytes, Len %d}", res.Addr, len(res.Bytes), res.Len())
+	}
+	if got := p.MustLabel("after"); got != 0x3001+4096 {
+		t.Fatalf("after = %#x", got)
+	}
+	if d := p.Data[2]; d.Addr != 0x3001+4096 || d.Len() != 1 || d.Bytes[0] != 9 {
+		t.Fatalf("block after the reservation = %+v", d)
+	}
+	for _, d := range p.Data {
+		if d.Addr == 0x8000 {
+			t.Fatalf(".space 0 produced a block: %+v", d)
+		}
+	}
+}
+
 func TestMTEInstructions(t *testing.T) {
 	p := MustAssemble(`
     IRG  X0, X1
@@ -164,6 +198,8 @@ func TestErrors(t *testing.T) {
 		"B.QQ label",
 		".word futurelabel", // forward data refs unsupported
 		"dup: NOP\ndup: NOP",
+		".align 8192", // beyond a page
+		".space -1",
 	}
 	for _, src := range cases {
 		if _, err := Assemble(src); err == nil {

@@ -169,8 +169,8 @@ func diffAgainstGolden(t *testing.T, mit core.Mitigation, src string, mteOn bool
 	// (Both started from the same program data; compare a window around
 	// each data block.)
 	for _, d := range prog.Data {
-		for i := range d.Bytes {
-			a := d.Addr + uint64(i)
+		for i := uint64(0); i < d.Len(); i++ {
+			a := d.Addr + i
 			if got, want := m.Img.ByteAt(a), ip.Mem.ByteAt(a); got != want {
 				t.Fatalf("mem[%#x] = %d, want %d", a, got, want)
 			}

@@ -125,8 +125,8 @@ func fuzzDiffGolden(t *testing.T, mit core.Mitigation, src string) {
 		t.Errorf("output %q, golden %q", m.Core(0).Output, gres.Output)
 	}
 	for _, d := range prog.Data {
-		for i := range d.Bytes {
-			a := d.Addr + uint64(i)
+		for i := uint64(0); i < d.Len(); i++ {
+			a := d.Addr + i
 			if got, want := m.Img.ByteAt(a), ip.Mem.ByteAt(a); got != want {
 				t.Fatalf("mem[%#x] = %d, golden %d", a, got, want)
 			}

@@ -26,13 +26,16 @@ func bytesPerRun(runs int, f func()) uint64 {
 // TestAllocationPins bounds the host memory of the tiny machines the
 // security evaluation builds by the thousand. A PoC machine fills a few of
 // the cache's sets, so cache line storage must be allocated lazily (eager
-// allocation costs about 800 KB a machine), and a candidate evaluation must
-// assemble its program once, not once per mitigation.
+// allocation costs about 800 KB a machine); a candidate evaluation must
+// assemble its program once, not once per mitigation; and the 64 KiB fuzz
+// probe is a .space reservation, which neither the assembler nor any of an
+// evaluation's memory images may materialise.
 func TestAllocationPins(t *testing.T) {
 	_ = scenario.DelayOnMiss // the registry's ninth policy
 	const (
-		pocLimit  = 160_000
-		evalLimit = 3_000_000
+		pocLimit   = 150_000
+		evalLimit  = 1_400_000
+		probeLimit = 250_000
 	)
 	pht := attacks.SpectrePHT().Variants[0]
 	poc := bytesPerRun(20, func() {
@@ -53,5 +56,16 @@ func TestAllocationPins(t *testing.T) {
 	if eval > evalLimit {
 		t.Errorf("EvaluateCandidate over %d mitigations allocates %d B, limit %d", len(mits), eval, evalLimit)
 	}
-	t.Logf("PoC machine %d B, candidate evaluation %d B", poc, eval)
+
+	// One minimisation probe: a single-policy evaluation.
+	find := Generate(1, 8)
+	probe := bytesPerRun(10, func() {
+		if ev := EvaluateCandidate(find, []core.Mitigation{core.GhostMinion}); !ev.Valid {
+			t.Fatalf("candidate invalid: %s", ev.InvalidReason)
+		}
+	})
+	if probe > probeLimit {
+		t.Errorf("single-policy EvaluateCandidate allocates %d B, limit %d", probe, probeLimit)
+	}
+	t.Logf("PoC machine %d B, candidate evaluation %d B, single-policy probe %d B", poc, eval, probe)
 }

@@ -1,7 +1,9 @@
 package fuzzer
 
 import (
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"specasan/internal/attacks"
@@ -66,5 +68,34 @@ func TestPoCCorpusVerdicts(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPoCCorpusRegenerates runs the seed-1 fuzz batch that produced
+// testdata/pocs and requires exactly its file set, byte for byte: the
+// generator, the evaluation, the minimiser (and its probe memo) and the
+// document format together still emit the checked-in corpus.
+func TestPoCCorpusRegenerates(t *testing.T) {
+	_ = scenario.DelayOnMiss // ensure the registry includes the ninth policy
+	got, _ := runCorpus(t, Options{Seed: 1, N: 64})
+	entries, err := os.ReadDir(filepath.Join("testdata", "pocs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join("testdata", "pocs", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want["pocs/"+e.Name()] = string(data)
+	}
+	if !reflect.DeepEqual(keys(got), keys(want)) {
+		t.Fatalf("file sets differ:\n  regenerated %v\n  checked in  %v", keys(got), keys(want))
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s differs from the checked-in corpus", name)
+		}
 	}
 }

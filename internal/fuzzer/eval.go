@@ -169,7 +169,7 @@ func crossCheck(m *cpu.Machine, res *cpu.RunResult, prog *asm.Program, g *golden
 		return fmt.Errorf("output %q, golden %q", m.Core(0).Output, g.res.Output)
 	}
 	for _, d := range prog.Data {
-		if a, ok := firstDiff(m.Img, g.ip.Mem, d.Addr, uint64(len(d.Bytes))); ok {
+		if a, ok := firstDiff(m.Img, g.ip.Mem, d.Addr, d.Len()); ok {
 			return fmt.Errorf("mem[%#x] = %d, golden %d", a, m.Img.ByteAt(a), g.ip.Mem.ByteAt(a))
 		}
 	}

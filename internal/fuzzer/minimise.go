@@ -2,6 +2,7 @@ package fuzzer
 
 import (
 	"fmt"
+	"strings"
 
 	"specasan/internal/core"
 )
@@ -19,30 +20,39 @@ import (
 // its own property, which for a deterministic simulator indicates a claims/
 // evaluation bug and fails the fuzz run loudly.
 func Minimise(c *Candidate, mit core.Mitigation) (*Candidate, error) {
-	holds := func(body []string, train int) bool {
+	return minimise(c, mit, replays)
+}
+
+// replays is Minimise's probe: whether the rendered trial t still leaks
+// under mit, terminates cleanly and cross-checks against golden.
+func replays(t *Candidate, mit core.Mitigation) bool {
+	ev := EvaluateCandidate(t, []core.Mitigation{mit})
+	return ev.Valid && len(ev.Diverged) == 0 && len(ev.Rows) == 1 && ev.Rows[0].Leaked
+}
+
+// minimise is Minimise over an explicit probe, so a test can count what
+// reaches the simulator.
+func minimise(c *Candidate, mit core.Mitigation, probe func(*Candidate, core.Mitigation) bool) (*Candidate, error) {
+	holds := memoProbe(func(train int, body []string) bool {
 		t := &Candidate{
 			Seed: c.Seed, Index: c.Index,
 			Trigger: c.Trigger, Relation: c.Relation, Channel: c.Channel,
 			Train: train, Body: append([]string(nil), body...),
 		}
-		if t.Render() != nil {
-			return false
-		}
-		ev := EvaluateCandidate(t, []core.Mitigation{mit})
-		return ev.Valid && len(ev.Diverged) == 0 && len(ev.Rows) == 1 && ev.Rows[0].Leaked
-	}
+		return t.Render() == nil && probe(t, mit)
+	})
 
-	if !holds(c.Body, c.Train) {
+	if !holds(c.Train, c.Body) {
 		return nil, fmt.Errorf("unminimisable: %s does not replay its leak under %v", c.Name(), mit)
 	}
 
-	body := ddmin(c.Body, func(lines []string) bool { return holds(lines, c.Train) })
+	body := ddmin(c.Body, func(lines []string) bool { return holds(c.Train, lines) })
 
 	train := c.Train
 	if train > 0 {
 		lo := 3 // template floor for both pht and btb
 		for t := lo; t < train; t++ {
-			if holds(body, t) {
+			if holds(t, body) {
 				train = t
 				break
 			}
@@ -58,6 +68,32 @@ func Minimise(c *Candidate, mit core.Mitigation) (*Candidate, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// trial keys one probe of a Minimise call: the training count and the body
+// lines joined as Render joins them, so equal keys render the same program.
+type trial struct {
+	train int
+	body  string
+}
+
+// memoProbe wraps probe so each distinct trial reaches it once; a repeat
+// returns the recorded verdict. ddmin revisits trials (at n = 2 each
+// complement is the other chunk), and a verdict is a pure function of the
+// trial, so probe order, verdicts and the minimised result are unchanged.
+// Each Minimise call builds its own memo and drops it on return: a memo
+// shared across calls would answer a later run's probes from memory.
+func memoProbe(probe func(train int, body []string) bool) func(train int, body []string) bool {
+	verdicts := map[trial]bool{}
+	return func(train int, body []string) bool {
+		k := trial{train, strings.Join(body, "\n")}
+		v, ok := verdicts[k]
+		if !ok {
+			v = probe(train, body)
+			verdicts[k] = v
+		}
+		return v
+	}
 }
 
 // ddmin is the classic Zeller/Hildebrandt algorithm over line sets: split

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"specasan/internal/core"
 	"specasan/internal/obs"
@@ -143,4 +144,33 @@ func (d DiskCellStore) GetCell(resultHash, bench, mitigation string) (*CellResul
 // absorbed — the store's counters record them, and the run proceeds.
 func (d DiskCellStore) PutCell(resultHash string, c *CellResult) {
 	_ = d.S.PutJSON(d.key(resultHash, c.Bench, c.Mitigation), c)
+}
+
+// MemCellStore is an in-process CellStore: a mutex-guarded map that lives as
+// long as the value, so each distinct cell of one run simulates once. The
+// zero value is ready to use. Entries are the cold runs' own results, never
+// decoded from bytes, so there is nothing to verify on the way out.
+type MemCellStore struct {
+	mu    sync.Mutex
+	cells map[memCellKey]*CellResult
+}
+
+type memCellKey struct{ resultHash, bench, mitigation string }
+
+// GetCell returns the result PutCell recorded for the cell, if any.
+func (s *MemCellStore) GetCell(resultHash, bench, mitigation string) (*CellResult, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c, ok := s.cells[memCellKey{resultHash, bench, mitigation}]
+	return c, ok
+}
+
+// PutCell records a cell result.
+func (s *MemCellStore) PutCell(resultHash string, c *CellResult) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cells == nil {
+		s.cells = make(map[memCellKey]*CellResult)
+	}
+	s.cells[memCellKey{resultHash, c.Bench, c.Mitigation}] = c
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -161,6 +162,46 @@ func TestInstrumentedCellsBypassCache(t *testing.T) {
 	}
 	if metrics.Len() == 0 {
 		t.Fatal("metrics stream empty")
+	}
+}
+
+// TestMemCellStoreServesRepeats runs one sweep twice through one in-process
+// memo on a two-worker pool: the repeat serves every cell from the memo with
+// byte-identical tables, and an instrumented cell neither reads nor writes it.
+func TestMemCellStoreServesRepeats(t *testing.T) {
+	memo := &MemCellStore{}
+	specs := []*workloads.Spec{workloads.ByName("511.povray_r"), workloads.ByName("505.mcf_r")}
+	mits := []core.Mitigation{core.Unsafe, core.SpecASan}
+	opt := cacheOpts(t, memo)
+	opt.Workers = 2
+	var log bytes.Buffer
+	opt.Verbose, opt.Log = true, &log
+
+	cold, err := RunSweep(specs, mits, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(log.String(), " cached "); n != 0 {
+		t.Fatalf("cold sweep served %d cells from an empty memo", n)
+	}
+	log.Reset()
+	warm, err := RunSweep(specs, mits, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(log.String(), " cached "); n != 4 {
+		t.Fatalf("warm sweep served %d cells from the memo, want 4:\n%s", n, &log)
+	}
+	if a, b := formatSweep(cold), formatSweep(warm); a != b {
+		t.Fatalf("memo tables differ:\n--- cold\n%s--- warm\n%s", a, b)
+	}
+
+	opt.Metrics = io.Discard
+	if _, cached, err := RunCell(workloads.ByName("508.namd_r"), core.Unsafe, opt); err != nil || cached {
+		t.Fatalf("instrumented run: cached=%v err=%v", cached, err)
+	}
+	if len(memo.cells) != 4 {
+		t.Fatalf("instrumented run changed the memo: %d cells, want 4", len(memo.cells))
 	}
 }
 

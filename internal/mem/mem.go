@@ -354,12 +354,33 @@ func (m *Image) ForEachTagged(f func(g uint64, t mte.Tag)) {
 	}
 }
 
-// LoadProgram copies a program's data blocks into memory. Code is fetched
-// from the Program structure directly (the I-side models timing only), but
-// data must live in the image for loads/stores.
+// LoadProgram copies a program's data blocks into memory, in order. Code is
+// fetched from the Program structure directly (the I-side models timing
+// only), but data must live in the image for loads/stores. A reservation
+// (.space) maps nothing, because an unmapped page already reads as zero; it
+// only clears the part of its range that an earlier block mapped.
 func (m *Image) LoadProgram(p *asm.Program) {
 	for _, d := range p.Data {
-		m.Write(d.Addr, d.Bytes)
+		if d.Zero > 0 {
+			m.clearMapped(d.Addr, d.Zero)
+		} else {
+			m.Write(d.Addr, d.Bytes)
+		}
+	}
+}
+
+// clearMapped zeroes n bytes from addr on the pages that are already mapped,
+// with Write's addressing, and maps no page: the rule SetLockAtGranule
+// applies to a zero tag.
+func (m *Image) clearMapped(addr, n uint64) {
+	for n > 0 {
+		addr = mte.Strip(addr)
+		off := addr & pageMask
+		k := min(n, pageBytes-off)
+		if p := m.pageAt(addr >> pageShift); p != nil {
+			clear(p.data[off : off+k])
+		}
+		addr, n = addr+k, n-k
 	}
 }
 

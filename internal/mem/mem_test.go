@@ -136,6 +136,52 @@ data:
 	}
 }
 
+// TestLoadProgramReservations pins how LoadProgram treats a .space
+// reservation: it maps no page, because an unmapped page already reads as
+// zero, and over a page an earlier block mapped it clears exactly its own
+// range, as writing zeros would.
+func TestLoadProgramReservations(t *testing.T) {
+	m := NewImage()
+	m.LoadProgram(asm.MustAssemble(`
+    .org 0x40000
+buf:
+    .space 8192
+`))
+	if pages := m.PageAddrs(); len(pages) != 0 {
+		t.Fatalf("a page-aligned reservation mapped pages %#x", pages)
+	}
+	if got := m.Read(0x40000, 8192); !bytes.Equal(got, make([]byte, 8192)) {
+		t.Fatal("reservation does not read back as zero")
+	}
+	m.WriteU64(0x41008, 42)
+	if pages := m.PageAddrs(); len(pages) != 1 || pages[0] != 0x41000 {
+		t.Fatalf("a store into the reservation mapped %#x, want exactly 0x41000", pages)
+	}
+
+	// The reservation starts inside a page the .ascii block mapped and runs
+	// into the next, unmapped page.
+	src := `
+    .org 0x50ff0
+    .ascii "0123456789abcdef"
+    .org 0x50ff8
+    .space 16
+`
+	p := asm.MustAssemble(src)
+	got, want := NewImage(), NewImage()
+	got.LoadProgram(p)
+	want.Write(0x50ff0, []byte("0123456789abcdef"))
+	want.Write(0x50ff8, make([]byte, 16))
+	if g, w := got.Read(0x50fe0, 64), want.Read(0x50fe0, 64); !bytes.Equal(g, w) {
+		t.Fatalf("overlapping reservation loaded % x, want % x", g, w)
+	}
+	if g := got.Read(0x50ff0, 8); string(g) != "01234567" {
+		t.Fatalf("reservation cleared bytes before its range: %q", g)
+	}
+	if pages := got.PageAddrs(); len(pages) != 1 || pages[0] != 0x50000 {
+		t.Fatalf("overlapping reservation mapped %#x, want only 0x50000", pages)
+	}
+}
+
 func TestControllerLatencyAndBandwidth(t *testing.T) {
 	c := NewController(DRAMConfig{Latency: 100, BurstCycles: 4, TagBurst: 1}, false)
 	r1 := c.FetchLine(0)
