@@ -58,6 +58,8 @@ func TestTranscripts(t *testing.T) {
 			"-scale", "0.02"}},
 		{Name: "scenario-override", Args: []string{"-scenario", "figure9", "-scale", "0.001",
 			"-workers", "1", "-skip-idle=false"}},
+		{Name: "scale-inf", Args: []string{"-fig", "9", "-scale", "Inf"},
+			Fails: "scale must be finite and > 0 (got +Inf)"},
 	})
 }
 

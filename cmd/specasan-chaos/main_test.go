@@ -38,5 +38,7 @@ func TestTranscripts(t *testing.T) {
 		// An out-of-range -trace fails before the campaign runs.
 		{Name: "trace-out-of-range", Args: with("-trace", "999"),
 			Fails: "-trace 999 out of range (campaign has 14 cells)"},
+		{Name: "rate-nan", Args: []string{"-rate", "NaN", "-seeds", "1"},
+			Fails: "rate must be in [0,1] (got NaN)"},
 	})
 }

@@ -47,5 +47,7 @@ func TestTranscripts(t *testing.T) {
 		{Name: "store-cold", Args: []string{"-bench", "505.mcf_r", "-scale", "0.02", "-store", "$TMP/store"}},
 		{Name: "store-warm", Args: []string{"-bench", "505.mcf_r", "-scale", "0.02", "-store", "$TMP/store"}},
 		{Name: "no-workload", Args: nil, Fails: "need -bench, -file, or -scenario"},
+		{Name: "scale-inf", Args: []string{"-bench", "505.mcf_r", "-scale", "Inf"},
+			Fails: "scale must be finite and > 0 (got +Inf)"},
 	})
 }

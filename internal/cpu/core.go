@@ -204,11 +204,15 @@ type Core struct {
 	fqMask         int
 	shadowStack    []uint64 // SpecCFI speculative shadow stack (fetch-maintained)
 
-	// Back-end resources.
-	aluFree []uint64
-	mulFree []uint64
-	divFree uint64 // single non-pipelined divider
-	brFree  uint64
+	// Back-end resources. The ALUs and the multiplier are pipelined: a
+	// booking lasts exactly its issue cycle, so each keeps the cycle of its
+	// latest booking (and the ALUs a count of that cycle's bookings).
+	aluBookedAt uint64
+	aluBooked   int
+	mulBookedAt uint64
+	divFree     uint64 // single non-pipelined divider
+	brFree      uint64
+
 	tagSeed uint64
 	mduPred map[uint64]uint8 // load PC -> conflict counter (memory disambiguation)
 	lqCount int
@@ -313,12 +317,15 @@ type Core struct {
 	ctrs [numCtrs]*uint64
 
 	// Idle-issue record (skip.go): idleIssueAt is the cycle whose issue
-	// stage was idle — every ready entry visited and policy-blocked, nothing
-	// issued, no unit wait, no DoM block — and idleBlocked counts those
-	// blocked entries per reason. Valid only when idleIssueAt == cycle.
-	idleIssueAt    uint64
-	idleBlocked    [numBlockReasons]uint32
-	idleBlockedSum int
+	// stage was idle — every ready entry visited and either policy-blocked
+	// or retried without changing state, nothing issued, no unit wait, no
+	// DoM block. idleBlocked counts the blocked entries per reason,
+	// idleMDUWaits the retries that bumped mdu_waits, and idleHeld every
+	// entry the pass kept. Valid only when idleIssueAt == cycle.
+	idleIssueAt  uint64
+	idleBlocked  [numBlockReasons]uint32
+	idleMDUWaits uint32
+	idleHeld     int
 }
 
 // ctr identifies one core counter. Counters are lazily bound pointers into
@@ -467,8 +474,6 @@ func NewCore(id int, cfg *core.Config, mit core.Mitigation, prog *asm.Program,
 		nextSeq: 1,
 		headSeq: 1,
 		fetchPC: prog.Entry,
-		aluFree: make([]uint64, cfg.ALUs),
-		mulFree: make([]uint64, 1),
 		mduPred: make(map[uint64]uint8),
 		tagSeed: tagSeed,
 		Stats:   stats.NewSet("core"),

@@ -280,6 +280,12 @@ probe:
 fuzzprobe:
     .space 65536
 `)
+	// The retry-wait shapes (skip_test.go): ready entries that retry,
+	// changing nothing, across a DRAM miss, so both time-advance modes of
+	// the CI smoke start on the skip's repeat-retry path.
+	for _, p := range retryWaitPrograms {
+		f.Add(p.src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<16 || strings.Count(src, "\n") > 2048 {
 			t.Skip("oversized input")

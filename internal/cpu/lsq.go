@@ -16,10 +16,12 @@ const lateTagCheckPenalty = 3
 // ready: it computes the effective address (AGU), runs disambiguation and
 // store-to-load forwarding for loads, and issues cache accesses.
 // It may leave the entry in stDispatched (waiting for disambiguation or an
-// older store), in which case issue() retries next cycle.
-func (c *Core) startMemOp(e *robEntry) {
+// older store), in which case issue() retries next cycle. The attempt that
+// resolves the address changes state whether or not it retries.
+func (c *Core) startMemOp(e *robEntry) attempt {
 	in := e.inst
-	if !e.addrReady {
+	resolved := !e.addrReady
+	if resolved {
 		rn, _ := c.readSource2(e, in.Rn)
 		rm := uint64(0)
 		if !in.HasImm {
@@ -41,16 +43,17 @@ func (c *Core) startMemOp(e *robEntry) {
 			data, _ := c.readSource2(e, in.Rd)
 			e.storeData = data
 			if c.checkOrderViolation(e) {
-				return // squash redirected the pipeline
+				return attemptMoved // squash redirected the pipeline
 			}
 		}
 	}
 
+	a := attemptMoved
 	switch in.Op {
 	case isa.STR, isa.STRB, isa.STG, isa.ST2G:
-		c.executeStore(e)
+		a = c.executeStore(e)
 	case isa.LDR, isa.LDRB:
-		c.executeLoad(e)
+		a = c.executeLoad(e)
 	case isa.LDG:
 		// Tag-granule read: returns the allocation tag in the pointer's
 		// key byte. Modelled as a short tag-storage access. An older
@@ -58,15 +61,20 @@ func (c *Core) startMemOp(e *robEntry) {
 		// architectural tag write happens at commit.
 		if c.tagWritesInFlight > 0 && c.olderTagWriteCovering(e.seq, e.addr, 1) {
 			e.state = stDispatched // retry once the tag write commits
-			return
+			a = attemptWait
+			break
 		}
 		lock := c.img.Tags.Lock(e.addr)
 		oldRd, _ := c.readSource2(e, in.Rd)
 		e.result, e.hasResult = mte.WithKey(oldRd, lock), true
 		c.setDone(e, c.cycle+c.cfg.L1DLatency)
 	case isa.SWPAL:
-		c.executeAtomic(e)
+		a = c.executeAtomic(e)
 	}
+	if resolved {
+		return attemptMoved
+	}
+	return a
 }
 
 // olderTagWriteInFlight reports an older uncommitted STG/ST2G covering any
@@ -111,11 +119,11 @@ func (c *Core) olderTagWriteCovering(seq uint64, addr uint64, size int) bool {
 
 // executeStore tag-checks the store (address known; data captured) and marks
 // it executed. The actual memory write happens at commit.
-func (c *Core) executeStore(e *robEntry) {
+func (c *Core) executeStore(e *robEntry) attempt {
 	if e.inst.Op == isa.STR || e.inst.Op == isa.STRB {
 		if c.olderTagWriteInFlight(e.seq, e.addr, e.inst.MemBytes()) {
 			e.state = stDispatched // wait for the older tag write to commit
-			return
+			return attemptWait
 		}
 		if c.mteOn {
 			ok := c.img.Tags.CheckAccess(e.addr, e.inst.MemBytes())
@@ -141,15 +149,16 @@ func (c *Core) executeStore(e *robEntry) {
 		c.trace("cycle %d: store seq=%d pc=%#x addr=%#x data=%#x tagOK=%v",
 			c.cycle, e.seq, e.pc, mte.Strip(e.addr), e.storeData, e.tagOK)
 	}
+	return attemptMoved
 }
 
 // executeAtomic performs SWPAL at the head of the ROB only (acquire/release
 // semantics: no speculation). The read-modify-write goes through the cache
 // and the image immediately; commit is a no-op for it.
-func (c *Core) executeAtomic(e *robEntry) {
+func (c *Core) executeAtomic(e *robEntry) attempt {
 	if e.seq != c.headSeq || c.speculative(e) {
 		e.state = stDispatched
-		return
+		return attemptWait
 	}
 	res := c.hier.Access(cache.AccessReq{
 		Core: c.ID, Ptr: e.addr, Size: 8, Write: true, Now: c.cycle,
@@ -160,7 +169,7 @@ func (c *Core) executeAtomic(e *robEntry) {
 		e.fault, e.faultIsTag = true, true
 		c.markRisk(e)
 		c.setDone(e, res.ReadyAt)
-		return
+		return attemptMoved
 	}
 	a := mte.Strip(e.addr)
 	old := c.img.ReadU64(a)
@@ -169,6 +178,7 @@ func (c *Core) executeAtomic(e *robEntry) {
 	e.result, e.hasResult = old, true
 	c.setDone(e, res.ReadyAt)
 	c.inc(ctrAtomics)
+	return attemptMoved
 }
 
 // olderStoreScan classifies the relationship between a load and the store
@@ -267,15 +277,15 @@ func (c *Core) olderBarrierInFlight(seq uint64) bool {
 }
 
 // executeLoad runs the load path of Figure 4.
-func (c *Core) executeLoad(e *robEntry) {
+func (c *Core) executeLoad(e *robEntry) attempt {
 	in := e.inst
 	if c.olderBarrierInFlight(e.seq) {
 		e.state = stDispatched // retry after the barrier completes
-		return
+		return attemptWait
 	}
 	if c.olderTagWriteInFlight(e.seq, e.addr, in.MemBytes()) {
 		e.state = stDispatched // wait for the older tag write to commit
-		return
+		return attemptWait
 	}
 	size := in.MemBytes()
 	spec := c.speculative(e)
@@ -313,18 +323,19 @@ func (c *Core) executeLoad(e *robEntry) {
 			}
 			c.inc(ctrMDSStaleForwards)
 		}
-		return
+		return attemptMoved
 	}
 
 	// Store queue interaction.
 	e.memDepSpec = false
 	switch dec, st := c.scanStoreQueue(e); dec {
-	case fwdWait, fwdDepWait:
-		e.state = stDispatched // retry next cycle
-		if dec == fwdDepWait {
-			c.inc(ctrMDUWaits)
-		}
-		return
+	case fwdWait:
+		e.state = stDispatched // retry once the overlapping store commits
+		return attemptWait
+	case fwdDepWait:
+		e.state = stDispatched // retry once the older store address resolves
+		c.inc(ctrMDUWaits)
+		return attemptMDUWait
 	case fwdData:
 		// Store-to-load forwarding: SpecASan requires the address keys to
 		// match (§3.4, "Store-to-Load Forwarding").
@@ -333,7 +344,7 @@ func (c *Core) executeLoad(e *robEntry) {
 			e.state = stWaitUnsafe
 			c.onUnsafeAccess(e)
 			c.inc(ctrForwardDenied)
-			return
+			return attemptMoved
 		}
 		if !c.specChecks {
 			c.tsh.OnForward(e.seq, true)
@@ -347,7 +358,7 @@ func (c *Core) executeLoad(e *robEntry) {
 		}
 		c.setDone(e, c.cycle+2)
 		c.inc(ctrSTLForwards)
-		return
+		return attemptMoved
 	case fwdFallout:
 		if c.TraceFn != nil {
 			c.trace("cycle %d: load seq=%d fallout-candidate from store seq=%d", c.cycle, e.seq, st.seq)
@@ -375,7 +386,7 @@ func (c *Core) executeLoad(e *robEntry) {
 			}
 			c.setDone(e, c.cycle+2)
 			c.inc(ctrFalloutForwards)
-			return
+			return attemptMoved
 		}
 	}
 
@@ -385,17 +396,18 @@ func (c *Core) executeLoad(e *robEntry) {
 	// then. A prefetch request still warms the cache so the replayed load
 	// completes with minimal overhead.
 	if c.specChecks && e.memDepSpec && mte.Key(e.addr) != 0 {
-		if !e.prefetched {
-			e.prefetched = true
-			c.hier.Access(cache.AccessReq{
-				Core: c.ID, Ptr: e.addr, Size: size, Now: c.cycle,
-				Spec: true, BlockUnsafe: true,
-			})
-			c.inc(ctrSTLDelays)
-		}
 		e.policyDelayed = true
 		e.state = stDispatched // retry until the stores resolve
-		return
+		if e.prefetched {
+			return attemptWait
+		}
+		e.prefetched = true
+		c.hier.Access(cache.AccessReq{
+			Core: c.ID, Ptr: e.addr, Size: size, Now: c.cycle,
+			Spec: true, BlockUnsafe: true,
+		})
+		c.inc(ctrSTLDelays)
+		return attemptMoved
 	}
 
 	// Issue to the cache hierarchy. GhostMinion and STT classify loads by
@@ -433,6 +445,7 @@ func (c *Core) executeLoad(e *robEntry) {
 			c.recordEvent(e, core.ChanMSHR)
 		}
 	}
+	return attemptMoved
 }
 
 func extractBytes(v uint64, off, size int) uint64 {

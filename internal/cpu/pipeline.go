@@ -456,6 +456,23 @@ func (c *Core) operandsReady(e *robEntry) bool {
 	return true
 }
 
+// attempt is what an issue attempt did to an entry it leaves in the ready
+// queue, for idle-issue detection (skip.go).
+type attempt uint8
+
+const (
+	// attemptMoved: the entry issued, or the attempt changed simulated state
+	// on its way to a retry (resolved an address, which can squash through
+	// checkOrderViolation, or sent the SpecASan STL prefetch).
+	attemptMoved attempt = iota
+	// attemptWait: a repeat retry that changed nothing. The entry waits on
+	// older in-flight state that only an event skip.go tracks releases.
+	attemptWait
+	// attemptMDUWait is attemptWait that also bumped mdu_waits: the memory
+	// dependence unit holds the load behind an unresolved older store.
+	attemptMDUWait
+)
+
 func (c *Core) issue() {
 	// readyQ holds exactly the stDispatched entries whose operands are all
 	// available (maintained by dispatch/fireConsumers/releaseEntry), kept in
@@ -473,13 +490,19 @@ func (c *Core) issue() {
 	// seqRemoves younger entries, which sort after index i, so both
 	// cursors stay valid.
 	//
-	// The pass also decides whether this cycle's issue was idle: every kept
-	// entry policy-blocked by a gate other than DoM, nothing issued, no unit
-	// wait. Idle issue with the blocked counts recorded lets nextEventCycle
-	// skip a non-empty ready queue (skip.go).
+	// The pass also decides whether this cycle's issue was idle: every ready
+	// entry visited, and each one either policy-blocked by a gate other than
+	// DoM or retried without changing state; nothing issued, no unit wait.
+	// A retry's trace events and pipeview issue are changes too, so with an
+	// observer attached any retry makes the pass busy. Idle issue with the
+	// per-cycle counts recorded lets nextEventCycle skip a non-empty ready
+	// queue (skip.go).
+	observed := c.Obs != nil || c.Rec != nil || c.TraceFn != nil
 	issued := 0
-	busy := false // an entry waits on a unit, or DoM blocked one
+	moved := false // an entry issued, or a retry changed state
+	busy := false  // an entry waits on a unit, or DoM blocked one
 	var blocked [numBlockReasons]uint32
+	var mduWaits uint32
 	i, w := 0, 0
 	for ; i < len(c.readyQ) && issued < c.cfg.IssueWidth; i++ {
 		seq := c.readyQ[i]
@@ -511,66 +534,70 @@ func (c *Core) issue() {
 		}
 		e.issuedAt = c.cycle
 		c.obsRecord(e.seq, e.pc, obs.EvIssue, 0)
-		c.startExecution(e)
+		a := c.startExecution(e)
 		issued++
 		if e.state == stDispatched {
-			// Memory op could not proceed this cycle (port/LFB); retry.
+			// The entry waits on older in-flight state (a DSB or SWPAL
+			// not yet at the head, an older barrier, tag write or store, or
+			// SpecASan's STL delay): keep it and retry next cycle. The
+			// attempt still spent its issue slot.
+			switch {
+			case a == attemptMoved || observed:
+				moved = true
+			case a == attemptMDUWait:
+				mduWaits++
+			}
 			c.readyQ[w] = seq
 			w++
 			continue
 		}
+		moved = true
 		e.inReadyQ = false
 	}
+	visitedAll := i == len(c.readyQ)
 	if w != i {
 		n := copy(c.readyQ[w:], c.readyQ[i:])
 		c.readyQ = c.readyQ[:w+n]
 	}
-	if issued == 0 && !busy && w > 0 {
+	if visitedAll && !moved && !busy && w > 0 {
 		c.idleIssueAt = c.cycle
 		c.idleBlocked = blocked
-		c.idleBlockedSum = w
+		c.idleMDUWaits = mduWaits
+		c.idleHeld = w
 	}
 }
 
-// unitAvailable checks (without booking) that a port exists this cycle.
+// unitAvailable checks (without booking) that a port exists this cycle. The
+// ALUs and the multiplier are pipelined, so a booking holds a unit for the
+// cycle it issues in only.
 func (c *Core) unitAvailable(e *robEntry) bool {
 	switch e.inst.Classify() {
 	case isa.ClassMulDiv:
 		if e.inst.Op == isa.MUL {
-			return c.minOf(c.mulFree) <= c.cycle
+			return c.mulBookedAt != c.cycle
 		}
 		return c.divFree <= c.cycle
 	case isa.ClassBranch, isa.ClassIndirect:
 		return c.brFree <= c.cycle
 	case isa.ClassALU, isa.ClassNop, isa.ClassSystem:
-		return c.minOf(c.aluFree) <= c.cycle
+		return c.aluBookedAt != c.cycle || c.aluBooked < c.cfg.ALUs
 	default: // memory classes use cache ports, modelled in the hierarchy
 		return true
 	}
 }
 
-func (c *Core) minOf(v []uint64) uint64 {
-	m := v[0]
-	for _, x := range v[1:] {
-		if x < m {
-			m = x
-		}
+// bookALU takes one ALU for this cycle.
+func (c *Core) bookALU() {
+	if c.aluBookedAt != c.cycle {
+		c.aluBookedAt, c.aluBooked = c.cycle, 0
 	}
-	return m
+	c.aluBooked++
 }
 
-func (c *Core) bookUnit(v []uint64, until uint64) {
-	best := 0
-	for i := 1; i < len(v); i++ {
-		if v[i] < v[best] {
-			best = i
-		}
-	}
-	v[best] = until
-}
-
-// startExecution computes results functionally and books timing.
-func (c *Core) startExecution(e *robEntry) {
+// startExecution computes results functionally and books timing. For an
+// entry it leaves in stDispatched, the result says whether the attempt
+// changed state.
+func (c *Core) startExecution(e *robEntry) attempt {
 	c.iqCount--
 	c.obsRecord(e.seq, e.pc, obs.EvExec, 0)
 	in := e.inst
@@ -588,6 +615,7 @@ func (c *Core) startExecution(e *robEntry) {
 		}
 	}
 
+	a := attemptMoved
 	switch in.Classify() {
 	case isa.ClassNop:
 		c.setDone(e, c.cycle+1)
@@ -600,13 +628,16 @@ func (c *Core) startExecution(e *robEntry) {
 		} else {
 			rm, _ = c.readSource2(e, in.Rm)
 		}
-		oldRd, _ := c.readSource2(e, in.Rd)
+		var oldRd uint64
+		if in.Op == isa.MOVK {
+			oldRd, _ = c.readSource2(e, in.Rd)
+		}
 		fl, _ := c.readFlags(e)
 		res := isa.EvalALU(in, isa.ALUInputs{Rn: rn, Rm: rm, OldRd: oldRd, Flags: fl, TagSeed: c.tagSeed})
 		e.result, e.hasResult = res.Value, in.Op != isa.CMP
 		e.outFlags, e.writesFlags = res.Flags, res.WritesFlags
 		c.setDone(e, c.cycle+1)
-		c.bookUnit(c.aluFree, c.cycle+1)
+		c.bookALU()
 
 	case isa.ClassMulDiv:
 		rn, _ := c.readSource2(e, in.Rn)
@@ -614,7 +645,7 @@ func (c *Core) startExecution(e *robEntry) {
 		res := isa.EvalALU(in, isa.ALUInputs{Rn: rn, Rm: rm})
 		e.result, e.hasResult = res.Value, true
 		if in.Op == isa.MUL {
-			c.bookUnit(c.mulFree, c.cycle+1) // pipelined
+			c.mulBookedAt = c.cycle // pipelined
 			c.setDone(e, c.cycle+uint64(c.cfg.MulLat))
 		} else {
 			// Early-out divider: latency depends on operand magnitude —
@@ -651,15 +682,16 @@ func (c *Core) startExecution(e *robEntry) {
 		}
 
 	case isa.ClassLoad, isa.ClassStore, isa.ClassAtomic, isa.ClassTagOp:
-		c.startMemOp(e)
+		a = c.startMemOp(e)
 
 	case isa.ClassSystem:
-		c.startSystem(e)
+		a = c.startSystem(e)
 	}
 	if e.state == stDispatched {
-		// Memory op could not proceed yet; return it to the queue's view.
+		// The entry must retry; return it to the queue's view.
 		c.iqCount++
 	}
+	return a
 }
 
 // readSource2 reads the current value of arch register r as renamed for e.
@@ -687,7 +719,10 @@ func (c *Core) divLatency(dividend uint64) uint64 {
 	return lat
 }
 
-func (c *Core) startSystem(e *robEntry) {
+// startSystem executes a system instruction. A DSB that is not yet the
+// oldest instruction retries without changing state: only a commit moves
+// the head.
+func (c *Core) startSystem(e *robEntry) attempt {
 	in := e.inst
 	switch in.Op {
 	case isa.MRS:
@@ -695,11 +730,11 @@ func (c *Core) startSystem(e *robEntry) {
 		c.setDone(e, c.cycle+1)
 	case isa.DSB:
 		// Full barrier: completes only when it is the oldest instruction.
-		if e.seq == c.headSeq {
-			c.setDone(e, c.cycle+1)
-		} else {
+		if e.seq != c.headSeq {
 			e.state = stDispatched
+			return attemptWait
 		}
+		c.setDone(e, c.cycle+1)
 	case isa.DC:
 		// Address computed now; the flush itself happens at commit.
 		rn, _ := c.readSource2(e, in.Rn)
@@ -712,11 +747,8 @@ func (c *Core) startSystem(e *robEntry) {
 	default:
 		c.setDone(e, c.cycle+1)
 	}
-	if e.state == stDispatched {
-		// keep IQ slot accounting consistent with startExecution's caller
-		return
-	}
-	c.bookUnit(c.aluFree, c.cycle+1)
+	c.bookALU()
+	return attemptMoved
 }
 
 // ------------------------------------------------- execution completion --

@@ -4,7 +4,8 @@ package cpu
 //
 // A cycle is *idle* for a core when its Tick would change nothing except the
 // per-cycle stall counters (dispatch_stall_cycles, fetch_cfi_stall_cycles,
-// and policy_block_* for ready entries an issue gate holds back).
+// policy_block_* for ready entries an issue gate holds back, and mdu_waits
+// for loads the memory dependence unit holds back).
 // nextEventCycle computes a conservative lower bound on the first non-idle
 // cycle; Machine.skipIdle jumps simulated time to the minimum across running
 // cores and adds the stall counters analytically for the cycles it skipped,
@@ -20,16 +21,36 @@ package cpu
 //     stWaitUnsafe load replays next cycle → no skip
 //   - wakeup:   wakeQ[0].at (heap pops are (at,seq)-total-ordered, so pop
 //     *timing* cannot reorder effects)
-//   - issue:    a non-empty readyQ touches state every cycle (port retries,
-//     stale splices, issuing) → no skip, unless this cycle's issue was idle
-//     (every entry policy-blocked by a gate other than DoM, none issued,
-//     none waiting on a unit) and dispatch pushed nothing after it. Those
-//     gates read only older in-flight state — head position, unresolved
-//     branches, older completions (each a doneAt wake), store addresses,
-//     taint roots — which changes only at the events listed here, so each
-//     entry stays blocked for the same reason until the next event; the
-//     per-reason policy_block_* counts are added analytically. DoM's probe
-//     reads LFB fill timing, which no core event tracks → no skip
+//   - issue:    a non-empty readyQ touches state every cycle (issuing, unit
+//     waits, stale splices) → no skip, unless this cycle's issue was idle
+//     and dispatch pushed nothing after it. Idle means every ready entry
+//     was visited and each was either held by an issue gate other than
+//     DoM, or retried without changing state: a *repeat retry*. Retries
+//     still take issue slots, so a pass cut short by the issue width is
+//     never idle. A repeat retry is an entry waiting on older in-flight
+//     state:
+//       · a DSB not at the ROB head (SWPAL not at the head is gated);
+//       · a load behind an incomplete older DSB or SWPAL;
+//       · an access (LDG included) behind an uncommitted STG/ST2G whose
+//         granule overlaps or whose address is unknown;
+//       · a load behind an overlapping older store it cannot forward from
+//         (fwdWait), or behind an unresolved older store the MDU predicts
+//         it conflicts with (fwdDepWait, which bumps mdu_waits);
+//       · a tagged load under SpecASan's STL delay.
+//     An attempt that resolves the entry's address is never a repeat retry
+//     (it can squash through checkOrderViolation), nor is the STL delay's
+//     first attempt (it sends the prefetch). The gates and the waits read
+//     only older in-flight state — head position, unresolved branches,
+//     older completions (each a doneAt wake), store addresses and commits,
+//     taint roots, the MDU's counters (trained at a load completion or a
+//     store issue) — which changes only at the events listed here, so each
+//     entry is held for the same reason until the next event; the
+//     per-reason policy_block_* and the mdu_waits counts are added
+//     analytically. A retry also re-stamps issuedAt, which only the final,
+//     successful issue leaves for commit to read; but it emits issue and
+//     exec trace events and a pipeview issue, so with Obs, Rec or TraceFn
+//     attached any retry makes the pass busy. DoM's probe reads LFB fill
+//     timing, which no core event tracks → no skip
 //   - dispatch: would-dispatch → no skip; stalled dispatch only burns the
 //     stall counter, and its unblocking is a commit/issue event seen above
 //   - fetch:    resumes at fetchStallTo when unblocked; a dead or sentinel
@@ -68,11 +89,11 @@ func (c *Core) nextEventCycle() uint64 {
 		}
 	}
 
-	// issue: a non-empty ready queue does per-cycle work (unit retries,
-	// stale-entry splices, issuing) unless this cycle's issue was idle and
-	// dispatch has pushed nothing since: then every entry stays blocked,
-	// for the same reason, until one of the events below.
-	if len(c.readyQ) > 0 && (c.idleIssueAt != now || len(c.readyQ) != c.idleBlockedSum) {
+	// issue: a non-empty ready queue does per-cycle work (issuing, unit
+	// waits, stale-entry splices) unless this cycle's issue was idle and
+	// dispatch has pushed nothing since: then every entry stays blocked or
+	// waiting, for the same reason, until one of the events below.
+	if len(c.readyQ) > 0 && (c.idleIssueAt != now || len(c.readyQ) != c.idleHeld) {
 		return now + 1
 	}
 
@@ -184,14 +205,18 @@ func (c *Core) nextEventCycle() uint64 {
 func (c *Core) accountSkippedStalls(target uint64) {
 	now := c.cycle
 	skipped := target - 1 - now
-	// issue: each blocked ready entry bumps its policy_block_* counter once
-	// per cycle (nextEventCycle admits a non-empty queue only after an idle
-	// issue this cycle, so the recorded counts are current).
+	// issue: each blocked ready entry bumps its policy_block_* counter, and
+	// each MDU-held retry mdu_waits, once per cycle (nextEventCycle admits a
+	// non-empty queue only after an idle issue this cycle, so the recorded
+	// counts are current).
 	if len(c.readyQ) > 0 {
 		for r := blockAtomic; r < numBlockReasons; r++ {
 			if n := c.idleBlocked[r]; n > 0 {
 				c.add(r.ctr(), uint64(n)*skipped)
 			}
+		}
+		if n := c.idleMDUWaits; n > 0 {
+			c.add(ctrMDUWaits, uint64(n)*skipped)
 		}
 	}
 	// dispatch: one bump per cycle while instructions wait on a full ROB/IQ.

@@ -350,3 +350,203 @@ func TestSkipIdleSkipsPolicyBlocked(t *testing.T) {
 		}
 	}
 }
+
+// retryWaitPrograms are the retry-wait shapes: ready entries that retry
+// every cycle, changing nothing, while a DRAM miss keeps the state they wait
+// on in flight. FuzzDifferentialGolden is seeded with them.
+var retryWaitPrograms = []struct{ name, src string }{
+	// A DSB waits for the ROB head, a cold miss, every round.
+	{"dsb-miss", `
+_start:
+    ADR X1, cold
+    ADR X8, warm
+    MOV X3, #0
+    MOV X4, #8
+loop:
+    LDR X5, [X1]       // cold miss at the ROB head
+    ADD X1, X1, #576
+    DSB                // retries until it is the head
+    LDR X7, [X8]       // retries until the DSB completes
+    ADD X6, X6, X5
+    ADD X3, X3, #1
+    CMP X3, X4
+    B.NE loop
+    SVC #0
+    .org 0x40000
+warm:
+    .space 64
+    .org 0x50000
+cold:
+    .space 8192
+`},
+	// The SWPAL misses to DRAM once it reaches the head; the load behind it
+	// retries for the whole fill.
+	{"swpal-load", `
+_start:
+    ADR X1, cold
+    ADR X8, warm
+    MOV X3, #0
+    MOV X4, #6
+loop:
+    MOV X6, #1
+    SWPAL X6, X7, [X1] // in flight for a cold fill
+    LDR X5, [X8]       // retries behind the in-flight SWPAL
+    ADD X9, X9, X5
+    ADD X1, X1, #576
+    ADD X3, X3, #1
+    CMP X3, X4
+    B.NE loop
+    SVC #0
+    .org 0x40000
+warm:
+    .space 64
+    .org 0x50000
+cold:
+    .space 4096
+`},
+	// The STG cannot commit behind a cold miss, so the LDG (and, with MTE
+	// checking on, the STR) to its granule retries until it does.
+	{"stg-ldg", `
+_start:
+    ADR X1, cold
+    ADR X2, buf
+    IRG X2, X2
+    MOV X3, #0
+    MOV X4, #6
+loop:
+    LDR X5, [X1]       // cold miss at the ROB head
+    ADD X1, X1, #576
+    STG X2, [X2]       // tag write commits behind the miss
+    LDG X9, [X2]       // retries until the STG commits
+    STR X3, [X2]       // so does the tag-checked store
+    ADD X2, X2, #16
+    ADD X3, X3, #1
+    CMP X3, X4
+    B.NE loop
+    SVC #0
+    .org 0x40000
+buf:
+    .space 128
+    .org 0x50000
+cold:
+    .space 4096
+`},
+	// The store's address waits on a cold miss. The load to the same slot
+	// runs ahead once and is squashed, which trains the MDU to hold it
+	// (fwdDepWait) while the address is unresolved; the load's pointer is
+	// tagged, so under SpecASan the STL delay holds it instead.
+	{"store-addr-miss", `
+_start:
+    ADR X8, slot
+    IRG X8, X8
+    STG X8, [X8]
+    ADR X1, cold
+    MOV X3, #0
+    MOV X4, #6
+loop:
+    LDR X9, [X1]       // cold miss: zero, but late
+    ADD X1, X1, #576
+    ADD X2, X8, X9     // the store's address waits on the miss
+    STR X3, [X2]
+    LDR X5, [X8]       // same slot
+    ADD X6, X6, X5
+    ADD X3, X3, #1
+    CMP X3, X4
+    B.NE loop
+    SVC #0
+    .org 0x40000
+slot:
+    .space 64
+    .org 0x50000
+cold:
+    .space 4096
+`},
+}
+
+// retryJumps steps m to completion with skipping on and counts the jumps
+// taken over a ready queue that held a repeat retry, and those over one
+// that held an MDU wait.
+func retryJumps(t *testing.T, m *Machine) (jumps, mduJumps int) {
+	t.Helper()
+	c := m.Core(0)
+	for !m.Done() && m.Cycle() < 300_000 {
+		before := m.Cycle()
+		m.Step()
+		if m.Cycle() == before+1 || c.idleIssueAt != before+1 {
+			continue
+		}
+		held := c.idleHeld
+		for _, n := range c.idleBlocked {
+			held -= int(n)
+		}
+		if held > 0 {
+			jumps++
+		}
+		if c.idleMDUWaits > 0 {
+			mduJumps++
+		}
+	}
+	if !m.Done() {
+		t.Fatal("did not finish")
+	}
+	return jumps, mduJumps
+}
+
+// TestSkipIdleJumpsRetryWaits pins the repeat-retry rule (skip.go). Each
+// retry-wait shape, plus a load waiting on a partially overlapping older
+// store, must run identically with skipping on and off, and the skip must
+// really jump spans whose ready queue holds a repeat retry: for the MDU
+// wait under Unsafe (its mdu_waits added analytically) and for the STL
+// delay under SpecASan.
+func TestSkipIdleJumpsRetryWaits(t *testing.T) {
+	progs := append(retryWaitPrograms[:len(retryWaitPrograms):len(retryWaitPrograms)],
+		struct{ name, src string }{"partial-forward", `
+_start:
+    ADR X1, cold
+    ADR X8, slot
+    MOV X3, #0
+    MOV X4, #6
+loop:
+    LDR X5, [X1]       // cold miss at the ROB head
+    ADD X1, X1, #576
+    STRB X3, [X8]      // commits behind the miss
+    LDR X7, [X8]       // overlaps the byte store, cannot forward: retries
+    ADD X6, X6, X7
+    ADD X3, X3, #1
+    CMP X3, X4
+    B.NE loop
+    SVC #0
+    .org 0x40000
+slot:
+    .space 64
+    .org 0x50000
+cold:
+    .space 4096
+`})
+	mits := []core.Mitigation{core.Unsafe, core.MTE, core.Fence, core.STT, core.GhostMinion,
+		core.SpecCFI, core.SpecASan, domTestPolicy}
+	for _, p := range progs {
+		prog := asm.MustAssemble(p.src)
+		for _, mit := range mits {
+			on, _ := skipFingerprint(t, prog, mit, nil, true)
+			off, _ := skipFingerprint(t, prog, mit, nil, false)
+			if on != off {
+				t.Errorf("%s under %v diverges:\n-- skip on --\n%s-- skip off --\n%s", p.name, mit, on, off)
+			}
+		}
+		for _, mit := range []core.Mitigation{core.Unsafe, core.SpecASan} {
+			m, err := NewMachine(core.DefaultConfig(), mit, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jumps, mduJumps := retryJumps(t, m)
+			t.Logf("%s under %v: %d jumps over repeat retries, %d over MDU waits", p.name, mit, jumps, mduJumps)
+			if jumps == 0 {
+				t.Errorf("%s under %v: no jump over a repeat retry", p.name, mit)
+			}
+			if p.name == "store-addr-miss" && mit == core.Unsafe && mduJumps == 0 {
+				t.Errorf("%s under %v: no jump over an MDU wait", p.name, mit)
+			}
+		}
+	}
+}

@@ -100,6 +100,29 @@ func TestBudgetWholeSeconds(t *testing.T) {
 	}
 }
 
+// A non-finite float knob is a named resolve error, never a scenario whose
+// hash cannot be computed.
+func TestNonFiniteFloatKnobsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		err  string
+	}{
+		{[]string{"-scale", "Inf"}, "scale must be finite and > 0 (got +Inf)"},
+		{[]string{"-scale", "-Inf"}, "scale must be finite and > 0 (got -Inf)"},
+		{[]string{"-scale", "NaN"}, "scale must be finite and > 0 (got NaN)"},
+		{[]string{"-rate", "NaN"}, "rate must be in [0,1] (got NaN)"},
+		{[]string{"-rate", "Inf"}, "rate must be in [0,1] (got +Inf)"},
+	} {
+		f := NewFlags("test", knobBase(), "scale", "rate")
+		if err := f.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Resolve(); err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("%v: error %v, want %q", tc.args, err, tc.err)
+		}
+	}
+}
+
 func TestUnknownKnobPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

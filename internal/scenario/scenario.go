@@ -19,6 +19,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"specasan/internal/chaos"
@@ -179,8 +180,8 @@ func (s *Scenario) Validate() error {
 			return fmt.Errorf("scenario: unknown workload %q", name)
 		}
 	}
-	if !(s.Run.Scale > 0) {
-		return fmt.Errorf("scenario run: scale must be > 0 (got %v)", s.Run.Scale)
+	if !(s.Run.Scale > 0) || math.IsInf(s.Run.Scale, 1) {
+		return fmt.Errorf("scenario run: scale must be finite and > 0 (got %v)", s.Run.Scale)
 	}
 	if s.Run.MaxCycles < 1 {
 		return fmt.Errorf("scenario run: max_cycles must be >= 1")
@@ -222,7 +223,7 @@ func (s *Scenario) Validate() error {
 		if c.Seeds < 1 {
 			return fmt.Errorf("scenario chaos: seeds must be >= 1")
 		}
-		if c.Rate < 0 || c.Rate > 1 {
+		if !(c.Rate >= 0 && c.Rate <= 1) { // NaN fails both
 			return fmt.Errorf("scenario chaos: rate must be in [0,1] (got %v)", c.Rate)
 		}
 		if c.MaxLatency < 1 {
@@ -301,8 +302,8 @@ func (s *Scenario) Hash() string {
 	c := s.canonical()
 	b, err := json.Marshal(&c)
 	if err != nil {
-		// Scenario is plain data; Marshal cannot fail on it. Keep the
-		// signature ergonomic and make the impossible case loud.
+		// Marshal fails only on a non-finite float (run.scale, chaos.rate),
+		// which Validate rejects: hash validated scenarios only.
 		panic(fmt.Sprintf("scenario: canonical marshal: %v", err))
 	}
 	sum := sha256.Sum256(b)

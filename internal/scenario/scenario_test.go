@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -205,10 +206,15 @@ func TestValidateRejections(t *testing.T) {
 		{"bad workload", func(s *Scenario) { s.Workloads = []string{"999.bogus"} }, "999.bogus"},
 		{"empty file workload", func(s *Scenario) { s.Workloads = []string{"file:"} }, "workload path"},
 		{"scale", func(s *Scenario) { s.Run.Scale = 0 }, "scale"},
+		{"scale +Inf", func(s *Scenario) { s.Run.Scale = math.Inf(1) }, "scale must be finite"},
+		{"scale NaN", func(s *Scenario) { s.Run.Scale = math.NaN() }, "scale must be finite"},
 		{"max_cycles", func(s *Scenario) { s.Run.MaxCycles = 0 }, "max_cycles"},
 		{"workers", func(s *Scenario) { s.Run.Workers = -1 }, "workers"},
 		{"chaos seeds", func(s *Scenario) { s.Chaos = &ChaosOptions{Seeds: 0, Rate: 0.1, MaxLatency: 10} }, "seeds"},
 		{"chaos rate", func(s *Scenario) { s.Chaos = &ChaosOptions{Seeds: 1, Rate: 1.5, MaxLatency: 10} }, "rate"},
+		{"chaos rate NaN", func(s *Scenario) {
+			s.Chaos = &ChaosOptions{Seeds: 1, Rate: math.NaN(), MaxLatency: 10}
+		}, "rate must be in [0,1] (got NaN)"},
 		{"chaos kind", func(s *Scenario) {
 			s.Chaos = &ChaosOptions{Seeds: 1, Rate: 0.1, MaxLatency: 10, Kinds: []string{"gremlin"}}
 		}, "gremlin"},
