@@ -190,7 +190,8 @@ func Assemble(src string) (*Program, error) {
 			return nil, &Error{it.line, "internal: instruction placement failed"}
 		}
 	}
-	// Fixups are resolved, so operand lists are final: cache them.
+	// Fixups are resolved, so every operand is final: decode each
+	// instruction once, for the pipeline to read.
 	for bi := range a.code {
 		b := &a.code[bi]
 		for i := range b.Insts {

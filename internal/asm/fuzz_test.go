@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"specasan/internal/asm"
+	"specasan/internal/isa"
 	"specasan/internal/mem"
 )
 
@@ -18,10 +19,12 @@ import (
 const fuzzLoadLimit = 1 << 20
 
 // FuzzAssemble feeds arbitrary source to the assembler. It must never
-// panic, and a program it accepts must load (mem.Image.LoadProgram, which
-// maps nothing for a reservation) to the same bytes over every data block's
-// range as a reference image that writes each block in order, with zeros
-// for a reservation. The seed corpus is every .s file in the repository.
+// panic; every instruction of a program it accepts must carry a decoded
+// record faithful to the accessors (decodeMismatch); and the program must
+// load (mem.Image.LoadProgram, which maps nothing for a reservation) to the
+// same bytes over every data block's range as a reference image that writes
+// each block in order, with zeros for a reservation. The seed corpus is
+// every .s file in the repository.
 func FuzzAssemble(f *testing.F) {
 	root := filepath.Join("..", "..")
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -52,6 +55,13 @@ func FuzzAssemble(f *testing.F) {
 		p, err := asm.Assemble(src)
 		if err != nil {
 			return
+		}
+		for _, b := range p.Code {
+			for i := range b.Insts {
+				if msg := decodeMismatch(&b.Insts[i]); msg != "" {
+					t.Fatalf("%s at %#x: %s", &b.Insts[i], b.Addr+uint64(i)*isa.InstBytes, msg)
+				}
+			}
 		}
 		var span uint64
 		for _, d := range p.Data {

@@ -1,5 +1,7 @@
 package core
 
+import "math"
+
 // Config holds the simulated CPU configuration. The defaults reproduce
 // Table 2 of the paper (an ARM Cortex-A76-class out-of-order core).
 type Config struct {
@@ -143,12 +145,23 @@ func (c *Config) Validate() error {
 		return errf("DRAMLatency must be >= 1 cycle")
 	case c.LineBytes != 64:
 		return errf("LineBytes must be 64 (4 tag granules per line)")
-	case c.L1DSizeKB*1024%(c.L1DWays*c.LineBytes) != 0:
+	case !wholeSets(c.L1DSizeKB, c.L1DWays, c.LineBytes):
 		return errf("L1D geometry does not divide evenly")
-	case c.L2SizeKB*1024%(c.L2Ways*c.LineBytes) != 0:
+	case !wholeSets(c.L2SizeKB, c.L2Ways, c.LineBytes):
 		return errf("L2 geometry does not divide evenly")
 	}
 	return nil
+}
+
+// wholeSets reports whether a cache of sizeKB KiB splits into at least one
+// whole set of ways lines. It never divides by zero or overflows: a
+// scenario document can set any of the three.
+func wholeSets(sizeKB, ways, lineBytes int) bool {
+	if sizeKB < 1 || ways < 1 || sizeKB > math.MaxInt/1024 {
+		return false
+	}
+	size := sizeKB * 1024
+	return ways <= size/lineBytes && size%(ways*lineBytes) == 0
 }
 
 type configError string

@@ -216,6 +216,10 @@ func TestConfigValidation(t *testing.T) {
 		{"non-64B lines", func(c *Config) { c.LineBytes = 32 }, "LineBytes"},
 		{"ragged L1D geometry", func(c *Config) { c.L1DWays = 3 }, "L1D geometry"},
 		{"ragged L2 geometry", func(c *Config) { c.L2Ways = 7 }, "L2 geometry"},
+		{"zero L1D ways", func(c *Config) { c.L1DWays = 0 }, "L1D geometry"},
+		{"negative L1D size", func(c *Config) { c.L1DSizeKB = -64 }, "L1D geometry"},
+		{"L2 ways overflowing the line count", func(c *Config) { c.L2Ways = 1 << 58 }, "L2 geometry"},
+		{"L2 size overflowing bytes", func(c *Config) { c.L2SizeKB = 1 << 62 }, "L2 geometry"},
 	}
 	for _, tc := range cases {
 		c := DefaultConfig()

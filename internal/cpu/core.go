@@ -149,13 +149,13 @@ func (e *robEntry) resetFor(seq uint64, fi *fetchedInst) {
 	e.pc = fi.pc
 	e.inst = in
 	e.srcs = e.srcsBuf[:0]
-	e.isBranch = in.IsBranch()
+	e.isBranch = in.Dec.Branch
 	e.predTaken = fi.predTaken
 	e.predTarget = fi.predTarget
 	e.rsbPred = fi.rsbPred
 	e.ghrSnap = fi.ghrSnap
-	e.isLoad = in.IsLoad()
-	e.isStore = in.IsStore()
+	e.isLoad = in.Dec.Load
+	e.isStore = in.Dec.Store
 	e.tagOK = true
 	e.consumers = e.consumers[:0]
 	e.falloutFwds = e.falloutFwds[:0]
@@ -203,6 +203,12 @@ type Core struct {
 	fqCount        int           // live entries in the ring
 	fqMask         int
 	shadowStack    []uint64 // SpecCFI speculative shadow stack (fetch-maintained)
+
+	// instAt's code block: the one its last walk found, and the part of
+	// it, [fetchLo, fetchLo+fetchSpan), that no earlier block reaches.
+	fetchBlk  *asm.CodeBlock
+	fetchLo   uint64
+	fetchSpan uint64
 
 	// Back-end resources. The ALUs and the multiplier are pipelined: a
 	// booking lasts exactly its issue cycle, so each keeps the cycle of its
@@ -306,6 +312,16 @@ type Core struct {
 	unresolvedStores  int    // in-flight stores with !addrReady
 	tagWritesInFlight int    // in-flight STG/ST2G
 	incompleteFrom    uint64 // no incomplete entry older than this (lazy)
+
+	// Due cycles: completeExecution and advanceLSQ return at once before
+	// these. brDue is at most the earliest doneAt of a stExecuting branch in
+	// branchQ; lsqDue at most the earliest doneAt of a stWaitMem load in
+	// loadQ, and at most the cycle after the last scan while a stWaitUnsafe
+	// load waits for a branch to resolve. Each scan recomputes its own;
+	// issue (a branch starting, a load's memory wait or denied forward) and
+	// commit (an unsafe replay) lower them; the watchdog recounts both.
+	brDue  uint64
+	lsqDue uint64
 
 	// robMask/robCap: the rob slice is sized to the next power of two above
 	// the configured window so seq -> slot is a mask instead of a modulo;
@@ -491,7 +507,7 @@ func NewCore(id int, cfg *core.Config, mit core.Mitigation, prog *asm.Program,
 	c.robMask = uint64(len(c.rob) - 1)
 	// Pre-size the incremental queues and the fetch buffer so the steady
 	// state never allocates. The fetch ring needs 3*FetchWidth-1 slots
-	// (see fqPush), rounded up to a power of two for mask indexing.
+	// (see fqNext), rounded up to a power of two for mask indexing.
 	fqCap := 1
 	for fqCap < 3*cfg.FetchWidth {
 		fqCap <<= 1
@@ -548,6 +564,35 @@ func (c *Core) entry(seq uint64) *robEntry {
 }
 
 func (c *Core) robCount() int { return int(c.nextSeq - c.headSeq) }
+
+// instAt returns the instruction at pc, or nil, exactly as
+// c.prog.InstAt(pc) would. Fetch stays inside one code block for long
+// stretches, so the block the last walk found is kept, with the part of it
+// that no earlier block reaches (InstAt returns the first block holding pc,
+// which overlapping .org blocks make matter). The Program itself is never
+// written: every core of a machine, and every machine of a fuzz candidate,
+// shares it.
+func (c *Core) instAt(pc uint64) *isa.Inst {
+	if pc-c.fetchLo < c.fetchSpan {
+		if off := pc - c.fetchBlk.Addr; off%isa.InstBytes == 0 {
+			return &c.fetchBlk.Insts[off/isa.InstBytes]
+		}
+	}
+	var reach uint64 // furthest end of the blocks before b
+	for i := range c.prog.Code {
+		b := &c.prog.Code[i]
+		end := b.Addr + uint64(len(b.Insts))*isa.InstBytes
+		if pc >= b.Addr && pc < end && (pc-b.Addr)%isa.InstBytes == 0 {
+			c.fetchBlk, c.fetchLo, c.fetchSpan = b, max(b.Addr, reach), 0
+			if c.fetchLo < end {
+				c.fetchSpan = end - c.fetchLo
+			}
+			return &b.Insts[(pc-b.Addr)/isa.InstBytes]
+		}
+		reach = max(reach, end)
+	}
+	return nil
+}
 
 // oldestUnresolvedBranch returns the seq of the oldest in-flight unresolved
 // branch, or 0 when none exists. branchQ holds exactly the unresolved

@@ -22,16 +22,11 @@ func (c *Core) startMemOp(e *robEntry) attempt {
 	in := e.inst
 	resolved := !e.addrReady
 	if resolved {
-		rn, _ := c.readSource2(e, in.Rn)
-		rm := uint64(0)
-		if !in.HasImm {
-			rm, _ = c.readSource2(e, in.Rm)
-		}
 		switch in.Op {
 		case isa.STG, isa.ST2G, isa.LDG, isa.SWPAL:
-			e.addr = rn
+			e.addr = c.readRn(e)
 		default:
-			e.addr = isa.EffAddr(in, rn, rm)
+			e.addr = c.effAddr(e)
 		}
 		e.addrReady = true
 		if e.isStore {
@@ -40,8 +35,7 @@ func (c *Core) startMemOp(e *robEntry) attempt {
 		// A store's address just resolved: run the memory-order check
 		// against younger loads that speculatively bypassed it.
 		if e.isStore && in.Op != isa.SWPAL {
-			data, _ := c.readSource2(e, in.Rd)
-			e.storeData = data
+			e.storeData = c.readRd(e)
 			if c.checkOrderViolation(e) {
 				return attemptMoved // squash redirected the pipeline
 			}
@@ -65,8 +59,7 @@ func (c *Core) startMemOp(e *robEntry) attempt {
 			break
 		}
 		lock := c.img.Tags.Lock(e.addr)
-		oldRd, _ := c.readSource2(e, in.Rd)
-		e.result, e.hasResult = mte.WithKey(oldRd, lock), true
+		e.result, e.hasResult = mte.WithKey(c.readRd(e), lock), true
 		c.setDone(e, c.cycle+c.cfg.L1DLatency)
 	case isa.SWPAL:
 		a = c.executeAtomic(e)
@@ -99,7 +92,7 @@ func (c *Core) olderTagWriteCovering(seq uint64, addr uint64, size int) bool {
 			break
 		}
 		o := &c.rob[s&c.robMask]
-		if o.inst.Op != isa.STG && o.inst.Op != isa.ST2G {
+		if !o.inst.Dec.TagWrite {
 			continue
 		}
 		if !o.addrReady {
@@ -121,12 +114,13 @@ func (c *Core) olderTagWriteCovering(seq uint64, addr uint64, size int) bool {
 // it executed. The actual memory write happens at commit.
 func (c *Core) executeStore(e *robEntry) attempt {
 	if e.inst.Op == isa.STR || e.inst.Op == isa.STRB {
-		if c.olderTagWriteInFlight(e.seq, e.addr, e.inst.MemBytes()) {
+		size := int(e.inst.Dec.Bytes)
+		if c.olderTagWriteInFlight(e.seq, e.addr, size) {
 			e.state = stDispatched // wait for the older tag write to commit
 			return attemptWait
 		}
 		if c.mteOn {
-			ok := c.img.Tags.CheckAccess(e.addr, e.inst.MemBytes())
+			ok := c.img.Tags.CheckAccess(e.addr, size)
 			e.tagOK = ok
 			c.tsh.OnResult(e.seq, ok)
 			if !ok {
@@ -173,8 +167,7 @@ func (c *Core) executeAtomic(e *robEntry) attempt {
 	}
 	a := mte.Strip(e.addr)
 	old := c.img.ReadU64(a)
-	newVal, _ := c.readSource2(e, e.inst.Rd)
-	c.img.WriteU64(a, newVal)
+	c.img.WriteU64(a, c.readRd(e))
 	e.result, e.hasResult = old, true
 	c.setDone(e, res.ReadyAt)
 	c.inc(ctrAtomics)
@@ -204,7 +197,7 @@ func covers(a1 uint64, s1 int, a2 uint64, s2 int) bool {
 // scanStoreQueue inspects older in-flight stores for the load.
 func (c *Core) scanStoreQueue(e *robEntry) (dec fwdDecision, st *robEntry) {
 	la := mte.Strip(e.addr)
-	size := e.inst.MemBytes()
+	size := int(e.inst.Dec.Bytes)
 	unresolved := false
 	var fallout *robEntry
 	// Scan youngest-first: the nearest older store wins. storeQ holds the
@@ -215,15 +208,15 @@ func (c *Core) scanStoreQueue(e *robEntry) (dec fwdDecision, st *robEntry) {
 			continue
 		}
 		o := &c.rob[s&c.robMask]
-		if o.inst.Op == isa.SWPAL || o.inst.Op == isa.STG || o.inst.Op == isa.ST2G {
-			continue
+		if o.inst.Dec.Barrier || o.inst.Dec.TagWrite {
+			continue // SWPAL (the one store barrier), STG, ST2G
 		}
 		if !o.addrReady {
 			unresolved = true
 			continue
 		}
 		sa := mte.Strip(o.addr)
-		ssize := o.inst.MemBytes()
+		ssize := int(o.inst.Dec.Bytes)
 		if rangesOverlap(la, size, sa, ssize) {
 			if covers(sa, ssize, la, size) {
 				return fwdData, o
@@ -278,16 +271,15 @@ func (c *Core) olderBarrierInFlight(seq uint64) bool {
 
 // executeLoad runs the load path of Figure 4.
 func (c *Core) executeLoad(e *robEntry) attempt {
-	in := e.inst
+	size := int(e.inst.Dec.Bytes)
 	if c.olderBarrierInFlight(e.seq) {
 		e.state = stDispatched // retry after the barrier completes
 		return attemptWait
 	}
-	if c.olderTagWriteInFlight(e.seq, e.addr, in.MemBytes()) {
+	if c.olderTagWriteInFlight(e.seq, e.addr, size) {
 		e.state = stDispatched // wait for the older tag write to commit
 		return attemptWait
 	}
-	size := in.MemBytes()
 	spec := c.speculative(e)
 	trans := c.transient(e)
 
@@ -307,7 +299,7 @@ func (c *Core) executeLoad(e *robEntry) attempt {
 		e.tagOK = res.TagOK
 		c.obsRecord(e.seq, e.pc, obs.EvMem, mte.Strip(e.addr))
 		c.tsh.OnResult(e.seq, false) // assists are never safe accesses
-		e.state, e.doneAt = stWaitMem, res.ReadyAt
+		c.waitMem(e, res.ReadyAt)
 		e.result, e.hasResult = 0, true
 		if res.ServedBy == "lfb-stale" && len(res.StaleData) > 0 {
 			// Transient stale-data forward (RIDL/ZombieLoad behaviour).
@@ -342,6 +334,7 @@ func (c *Core) executeLoad(e *robEntry) attempt {
 		keysMatch := mte.Key(e.addr) == mte.Key(st.addr) || !c.mteOn
 		if c.specChecks && !c.tsh.OnForward(e.seq, keysMatch) {
 			e.state = stWaitUnsafe
+			c.lsqDue = min(c.lsqDue, c.cycle+1)
 			c.onUnsafeAccess(e)
 			c.inc(ctrForwardDenied)
 			return attemptMoved
@@ -423,13 +416,14 @@ func (c *Core) executeLoad(e *robEntry) attempt {
 	e.memIssued = true
 	e.tagOK = res.TagOK
 	c.obsRecord(e.seq, e.pc, obs.EvMem, mte.Strip(e.addr))
-	e.state, e.doneAt = stWaitMem, res.ReadyAt
+	ready := res.ReadyAt
 	if c.specChecks && !c.cfg.EarlyTagCheck {
 		// Ablation: without the early tag-check propagation of §3.3.1 (L1
 		// signal, MSHR flag), the outcome is recomputed at the core after
 		// the response arrives, and data cannot be released until then.
-		e.doneAt += lateTagCheckPenalty
+		ready += lateTagCheckPenalty
 	}
+	c.waitMem(e, ready)
 	c.inc(ctrLoads)
 	if c.TraceFn != nil {
 		c.trace("cycle %d: load seq=%d pc=%#x addr=%#x key=%d lock=%d tagOK=%v spec=%v served=%s ready=%d blocked=%v",
@@ -461,7 +455,7 @@ func extractBytes(v uint64, off, size int) uint64 {
 // and must be squashed (Spectre-STL's closing edge).
 func (c *Core) checkOrderViolation(st *robEntry) bool {
 	sa := mte.Strip(st.addr)
-	ssize := st.inst.MemBytes()
+	ssize := int(st.inst.Dec.Bytes)
 	for _, s := range c.loadQ {
 		if s <= st.seq {
 			continue
@@ -476,7 +470,7 @@ func (c *Core) checkOrderViolation(st *robEntry) bool {
 		if e.forwardedFrom > st.seq {
 			continue // got its data from a younger store: unaffected
 		}
-		if rangesOverlap(mte.Strip(e.addr), e.inst.MemBytes(), sa, ssize) {
+		if rangesOverlap(mte.Strip(e.addr), int(e.inst.Dec.Bytes), sa, ssize) {
 			c.trainMDU(e.pc, true)
 			c.inc(ctrOrderViolations)
 			// Squash from the violating load (inclusive) and refetch it.
@@ -487,12 +481,27 @@ func (c *Core) checkOrderViolation(st *robEntry) bool {
 	return false
 }
 
+// waitMem puts load e in stWaitMem until its response arrives at cycle at.
+func (c *Core) waitMem(e *robEntry, at uint64) {
+	e.state, e.doneAt = stWaitMem, at
+	c.lsqDue = min(c.lsqDue, at)
+}
+
 // advanceLSQ completes outstanding memory responses and replays unsafe
 // accesses whose speculation has resolved.
 func (c *Core) advanceLSQ() {
+	// Nothing is due before lsqDue: no response arrives earlier, and no
+	// stWaitUnsafe load waited at the last scan (waitMem and a forward
+	// denial lower it).
+	if c.cycle < c.lsqDue {
+		return
+	}
 	// Only loads ever sit in stWaitMem/stWaitUnsafe (stores and atomics
 	// complete at execute), so walking loadQ visits the same entries the old
-	// full-window scan did, in the same ascending order.
+	// full-window scan did, in the same ascending order. The scan recomputes
+	// lsqDue over the loads it leaves waiting: a held stWaitUnsafe load is
+	// polled every cycle, since only a branch resolution releases it.
+	c.lsqDue = noEvent
 	for _, s := range c.loadQ {
 		e := &c.rob[s&c.robMask]
 		switch e.state {
@@ -504,6 +513,12 @@ func (c *Core) advanceLSQ() {
 			if !c.speculative(e) {
 				c.replayUnsafe(e)
 			}
+		}
+		switch e.state {
+		case stWaitMem:
+			c.lsqDue = min(c.lsqDue, e.doneAt)
+		case stWaitUnsafe:
+			c.lsqDue = min(c.lsqDue, c.cycle+1)
 		}
 	}
 }
@@ -532,7 +547,7 @@ func (c *Core) completeMemAccess(e *robEntry) {
 		}
 		return
 	}
-	size := e.inst.MemBytes()
+	size := int(e.inst.Dec.Bytes)
 	e.result, e.hasResult = c.img.ReadUint(mte.Strip(e.addr), size), true
 	if c.mteOn && !e.tagOK {
 		// Committed-path MTE semantics: fault at commit. (Under plain MTE
@@ -570,11 +585,10 @@ func (c *Core) replayUnsafe(e *robEntry) {
 		e.unsafeSince = 0
 	}
 	res := c.hier.Access(cache.AccessReq{
-		Core: c.ID, Ptr: e.addr, Size: e.inst.MemBytes(), Now: c.cycle,
+		Core: c.ID, Ptr: e.addr, Size: int(e.inst.Dec.Bytes), Now: c.cycle,
 	})
 	e.tagOK = res.TagOK
 	c.obsRecord(e.seq, e.pc, obs.EvMem, mte.Strip(e.addr))
-	e.state = stWaitMem
-	e.doneAt = res.ReadyAt + c.cfg.BroadcastLatency
+	c.waitMem(e, res.ReadyAt+c.cfg.BroadcastLatency)
 	c.inc(ctrUnsafeReplays)
 }

@@ -18,13 +18,13 @@ import (
 // commit, and runs the write-to-full-address comparison that squashes
 // Fallout-style false forwards.
 func (c *Core) commitStore(e *robEntry) {
-	in := e.inst
-	switch in.Op {
+	switch e.inst.Op {
 	case isa.STR, isa.STRB:
+		size := int(e.inst.Dec.Bytes)
 		c.hier.Access(cache.AccessReq{
-			Core: c.ID, Ptr: e.addr, Size: in.MemBytes(), Write: true, Now: c.cycle,
+			Core: c.ID, Ptr: e.addr, Size: size, Write: true, Now: c.cycle,
 		})
-		c.img.WriteUint(mte.Strip(e.addr), e.storeData, in.MemBytes())
+		c.img.WriteUint(mte.Strip(e.addr), e.storeData, size)
 		c.inc(ctrStoresCommitted)
 		// WTF closing edge: younger loads that took the partial-match
 		// forward from this store re-execute via squash. The store's

@@ -91,3 +91,40 @@ func TestCounterTableNames(t *testing.T) {
 		}
 	}
 }
+
+// Fetch's block-caching lookup must answer exactly as Program.InstAt, which
+// returns the first code block holding an address: here with .org blocks
+// that overlap, at misaligned addresses, off the code edge, and walking up
+// and then down so a later block is cached before an earlier one that
+// overlaps it is asked for.
+func TestInstAtMatchesProgram(t *testing.T) {
+	c := newMachine(t, core.Unsafe, `
+_start:
+    NOP
+    NOP
+    NOP
+    NOP
+    .org 0x10008
+    MOV X1, #1
+    MOV X2, #2
+    MOV X3, #3
+    MOV X4, #4
+    .org 0x10006
+    MOV X5, #5
+    .org 0x20000
+    B _start
+`).Core(0)
+	var pcs []uint64
+	for pc := uint64(0xfff0); pc < 0x10020; pc++ {
+		pcs = append(pcs, pc)
+	}
+	for pc := uint64(0x10020); pc > 0xfff0; pc-- {
+		pcs = append(pcs, pc)
+	}
+	pcs = append(pcs, 0x20000, 0x10010, 0x20004, 0x10008, 0x10006, 0x10000)
+	for _, pc := range pcs {
+		if got, want := c.instAt(pc), c.prog.InstAt(pc); got != want {
+			t.Fatalf("instAt(%#x) = %v, Program.InstAt gives %v", pc, got, want)
+		}
+	}
+}

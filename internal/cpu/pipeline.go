@@ -141,7 +141,7 @@ func (c *Core) fetch() {
 		c.fetchBlockedBy = 0
 	}
 	for n := 0; n < c.cfg.FetchWidth; n++ {
-		in := c.prog.InstAt(c.fetchPC)
+		in := c.instAt(c.fetchPC)
 		if in == nil {
 			return // off the edge of code; dispatch will fault if reached
 		}
@@ -231,7 +231,7 @@ func (c *Core) fetch() {
 
 		c.fqCount++
 		c.obsRecord(0, fi.pc, obs.EvFetch, 0)
-		if in.IsBranch() {
+		if in.Dec.Branch {
 			// The BHB is updated speculatively at fetch with the predicted
 			// path (as on real front ends) — which is exactly what makes
 			// branch-history injection trainable.
@@ -260,7 +260,7 @@ func (c *Core) fetch() {
 }
 
 func (c *Core) targetIsBTI(pc uint64) bool {
-	in := c.prog.InstAt(pc)
+	in := c.instAt(pc)
 	return in != nil && in.Op == isa.BTI
 }
 
@@ -279,10 +279,11 @@ func (c *Core) dispatch() {
 		}
 		fi := &c.fetchQ[c.fqHead]
 		in := fi.inst
-		if in.IsLoad() && c.lqCount >= c.cfg.LQEntries {
+		d := &in.Dec
+		if d.Load && c.lqCount >= c.cfg.LQEntries {
 			return
 		}
-		if in.IsStore() && c.sqCount >= c.cfg.SQEntries {
+		if d.Store && c.sqCount >= c.cfg.SQEntries {
 			return
 		}
 		c.fqHead = (c.fqHead + 1) & c.fqMask
@@ -295,8 +296,7 @@ func (c *Core) dispatch() {
 
 		// Rename sources through the map table and register this entry on
 		// the wakeup list of every producer whose result is still pending.
-		var srcRegs [4]isa.Reg
-		for _, r := range in.Srcs(srcRegs[:0]) {
+		for _, r := range d.Srcs[:d.NSrc] {
 			prod := uint64(0)
 			if r != isa.XZR {
 				prod = c.rat[r]
@@ -307,7 +307,7 @@ func (c *Core) dispatch() {
 				e.pendingSrcs++
 			}
 		}
-		if in.ReadsFlags() {
+		if d.ReadsFlags {
 			e.flagsFrom = c.ratFlags
 			if p := c.entry(e.flagsFrom); p != nil && !(p.state == stDone && p.doneAt <= c.cycle) {
 				p.consumers = append(p.consumers, seq)
@@ -315,13 +315,13 @@ func (c *Core) dispatch() {
 			}
 		}
 		// Claim the map table for this entry's destination, remembering the
-		// displaced producer for squash restore. (DstReg never yields XZR —
-		// writes there are discarded, never renamed.)
-		if d, ok := in.DstReg(); ok {
-			e.prevProd[0] = c.rat[d]
-			c.rat[d] = seq
+		// displaced producer for squash restore. (The decoded destination is
+		// never XZR — writes there are discarded, never renamed.)
+		if d.Dst != isa.XZR {
+			e.prevProd[0] = c.rat[d.Dst]
+			c.rat[d.Dst] = seq
 		}
-		if in.WritesFlags() {
+		if d.WritesFlags {
 			e.tookFlags = true
 			e.prevFlags = c.ratFlags
 			c.ratFlags = seq
@@ -351,11 +351,11 @@ func (c *Core) dispatch() {
 			c.sqCount++
 			c.storeQ = append(c.storeQ, seq)
 			c.unresolvedStores++
-			if in.Op == isa.STG || in.Op == isa.ST2G {
+			if d.TagWrite {
 				c.tagWritesInFlight++
 			}
 		}
-		if in.Op == isa.SWPAL || in.Op == isa.DSB {
+		if d.Barrier {
 			c.barrierQ = append(c.barrierQ, seq)
 		}
 		if e.isLoad || e.isStore {
@@ -377,15 +377,10 @@ func (c *Core) youngestProducerScan(r isa.Reg, seq uint64) uint64 {
 	if r == isa.XZR {
 		return 0
 	}
-	var dsts [2]isa.Reg
 	for s := seq - 1; s >= c.headSeq && s > 0; s-- {
 		o := &c.rob[s&c.robMask]
-		if o.valid && o.seq == s {
-			for _, d := range o.inst.Dsts(dsts[:0]) {
-				if d == r {
-					return o.seq
-				}
-			}
+		if o.valid && o.seq == s && o.inst.Dec.Dst == r {
+			return o.seq
 		}
 		if s == c.headSeq {
 			break
@@ -397,7 +392,7 @@ func (c *Core) youngestProducerScan(r isa.Reg, seq uint64) uint64 {
 func (c *Core) youngestFlagsProducerScan(seq uint64) uint64 {
 	for s := seq - 1; s >= c.headSeq && s > 0; s-- {
 		o := &c.rob[s&c.robMask]
-		if o.valid && o.seq == s && o.inst.WritesFlags() {
+		if o.valid && o.seq == s && o.inst.Dec.WritesFlags {
 			return o.seq
 		}
 		if s == c.headSeq {
@@ -440,20 +435,6 @@ func (c *Core) readFlags(e *robEntry) (isa.Flags, bool) {
 		return p.outFlags, true
 	}
 	return isa.Flags{}, false
-}
-
-func (c *Core) operandsReady(e *robEntry) bool {
-	for _, s := range e.srcs {
-		if _, ok := c.readSource(s); !ok {
-			return false
-		}
-	}
-	if e.inst.ReadsFlags() {
-		if _, ok := c.readFlags(e); !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // attempt is what an issue attempt did to an entry it leaves in the ready
@@ -571,19 +552,17 @@ func (c *Core) issue() {
 // ALUs and the multiplier are pipelined, so a booking holds a unit for the
 // cycle it issues in only.
 func (c *Core) unitAvailable(e *robEntry) bool {
-	switch e.inst.Classify() {
-	case isa.ClassMulDiv:
-		if e.inst.Op == isa.MUL {
-			return c.mulBookedAt != c.cycle
-		}
-		return c.divFree <= c.cycle
-	case isa.ClassBranch, isa.ClassIndirect:
-		return c.brFree <= c.cycle
-	case isa.ClassALU, isa.ClassNop, isa.ClassSystem:
+	switch e.inst.Dec.Unit {
+	case isa.UnitALU:
 		return c.aluBookedAt != c.cycle || c.aluBooked < c.cfg.ALUs
-	default: // memory classes use cache ports, modelled in the hierarchy
-		return true
+	case isa.UnitMul:
+		return c.mulBookedAt != c.cycle
+	case isa.UnitDiv:
+		return c.divFree <= c.cycle
+	case isa.UnitBranch:
+		return c.brFree <= c.cycle
 	}
+	return true // memory ops use cache ports, modelled in the hierarchy
 }
 
 // bookALU takes one ALU for this cycle.
@@ -616,21 +595,19 @@ func (c *Core) startExecution(e *robEntry) attempt {
 	}
 
 	a := attemptMoved
-	switch in.Classify() {
+	switch in.Dec.Class {
 	case isa.ClassNop:
 		c.setDone(e, c.cycle+1)
 
 	case isa.ClassALU:
-		rn, _ := c.readSource2(e, in.Rn)
-		rm := uint64(0)
-		if in.HasImm {
-			rm = uint64(in.Imm)
-		} else {
-			rm, _ = c.readSource2(e, in.Rm)
+		rn := c.readRn(e)
+		rm := uint64(in.Imm)
+		if !in.HasImm {
+			rm = c.readRm(e)
 		}
 		var oldRd uint64
 		if in.Op == isa.MOVK {
-			oldRd, _ = c.readSource2(e, in.Rd)
+			oldRd = c.readRd(e)
 		}
 		fl, _ := c.readFlags(e)
 		res := isa.EvalALU(in, isa.ALUInputs{Rn: rn, Rm: rm, OldRd: oldRd, Flags: fl, TagSeed: c.tagSeed})
@@ -640,8 +617,7 @@ func (c *Core) startExecution(e *robEntry) attempt {
 		c.bookALU()
 
 	case isa.ClassMulDiv:
-		rn, _ := c.readSource2(e, in.Rn)
-		rm, _ := c.readSource2(e, in.Rm)
+		rn, rm := c.readRn(e), c.readRm(e)
 		res := isa.EvalALU(in, isa.ALUInputs{Rn: rn, Rm: rm})
 		e.result, e.hasResult = res.Value, true
 		if in.Op == isa.MUL {
@@ -659,9 +635,8 @@ func (c *Core) startExecution(e *robEntry) attempt {
 		}
 
 	case isa.ClassBranch, isa.ClassIndirect:
-		rn, _ := c.readSource2(e, in.Rn)
 		fl, _ := c.readFlags(e)
-		out := isa.EvalBranch(in, e.pc, rn, fl)
+		out := isa.EvalBranch(in, e.pc, c.readRn(e), fl)
 		if out.WritesLink {
 			e.result, e.hasResult = out.Link, true
 		}
@@ -675,6 +650,7 @@ func (c *Core) startExecution(e *robEntry) attempt {
 		if c.ChaosBranchDelay != nil {
 			e.doneAt += c.ChaosBranchDelay(e.pc)
 		}
+		c.brDue = min(c.brDue, e.doneAt)
 		c.brFree = c.cycle + 1
 		if e.secret && trans {
 			// A branch consuming secret data perturbs fetch/execute timing.
@@ -694,17 +670,32 @@ func (c *Core) startExecution(e *robEntry) attempt {
 	return a
 }
 
-// readSource2 reads the current value of arch register r as renamed for e.
-func (c *Core) readSource2(e *robEntry, r isa.Reg) (uint64, bool) {
-	for _, s := range e.srcs {
-		if s.reg == r {
-			return c.readSource(s)
-		}
+// operand reads one of e's operand fields, r, decoded at position at of its
+// sources: the renamed source when r is one of them, otherwise the
+// committed register (XZR reads as zero).
+func (c *Core) operand(e *robEntry, at uint8, r isa.Reg) uint64 {
+	if at != isa.NoSrc {
+		v, _ := c.readSource(e.srcs[at])
+		return v
 	}
 	if r == isa.XZR {
-		return 0, true
+		return 0
 	}
-	return c.cRegs[r], true
+	return c.cRegs[r]
+}
+
+func (c *Core) readRn(e *robEntry) uint64 { return c.operand(e, e.inst.Dec.RnAt, e.inst.Rn) }
+func (c *Core) readRm(e *robEntry) uint64 { return c.operand(e, e.inst.Dec.RmAt, e.inst.Rm) }
+func (c *Core) readRd(e *robEntry) uint64 { return c.operand(e, e.inst.Dec.RdAt, e.inst.Rd) }
+
+// effAddr is a memory instruction's effective address from its Rn and Rm
+// (or immediate) operands.
+func (c *Core) effAddr(e *robEntry) uint64 {
+	rm := uint64(0)
+	if !e.inst.HasImm {
+		rm = c.readRm(e)
+	}
+	return isa.EffAddr(e.inst, c.readRn(e), rm)
 }
 
 // divLatency models an early-terminating divider.
@@ -737,8 +728,7 @@ func (c *Core) startSystem(e *robEntry) attempt {
 		c.setDone(e, c.cycle+1)
 	case isa.DC:
 		// Address computed now; the flush itself happens at commit.
-		rn, _ := c.readSource2(e, in.Rn)
-		e.addr = rn
+		e.addr = c.readRn(e)
 		e.addrReady = true
 		c.setDone(e, c.cycle+1)
 	case isa.SVC, isa.HLT:
@@ -754,10 +744,17 @@ func (c *Core) startSystem(e *robEntry) attempt {
 // ------------------------------------------------- execution completion --
 
 func (c *Core) completeExecution() {
+	// Nothing resolves before brDue: every branch still executing finishes
+	// at or after it (issue lowers it as each branch starts).
+	if c.cycle < c.brDue {
+		return
+	}
 	// Resolve branches oldest-first so squashes do not race. branchQ holds
 	// exactly the unresolved in-flight branches ascending; a correct
 	// resolution removes index i (the next branch slides into it), a
-	// mispredict squashes the rest of the queue.
+	// mispredict squashes the rest of the queue. The scan recomputes brDue
+	// over the branches it leaves executing.
+	c.brDue = noEvent
 	for i := 0; i < len(c.branchQ); {
 		e := c.entry(c.branchQ[i])
 		if e == nil {
@@ -769,6 +766,9 @@ func (c *Core) completeExecution() {
 				break // squash flushed everything younger
 			}
 			continue // e left branchQ; same index is the next branch
+		}
+		if e.state == stExecuting {
+			c.brDue = min(c.brDue, e.doneAt)
 		}
 		i++
 	}
@@ -856,12 +856,12 @@ func (c *Core) restoreRAT(boundary uint64) {
 		if !e.valid || e.seq != s {
 			continue
 		}
-		if d, ok := e.inst.DstReg(); ok && c.rat[d] == s {
+		if d := &e.inst.Dec; d.Dst != isa.XZR && c.rat[d.Dst] == s {
 			v := e.prevProd[0]
 			if v != 0 && v <= boundary && c.entry(v) == nil {
 				v = 0 // displaced producer committed since dispatch
 			}
-			c.rat[d] = v
+			c.rat[d.Dst] = v
 		}
 		if e.tookFlags && c.ratFlags == s {
 			v := e.prevFlags
@@ -944,11 +944,11 @@ func (c *Core) releaseEntry(e *robEntry, squashed bool) {
 		if !e.addrReady {
 			c.unresolvedStores--
 		}
-		if e.inst.Op == isa.STG || e.inst.Op == isa.ST2G {
+		if e.inst.Dec.TagWrite {
 			c.tagWritesInFlight--
 		}
 	}
-	if e.inst.Op == isa.SWPAL || e.inst.Op == isa.DSB {
+	if e.inst.Dec.Barrier {
 		c.barrierQ = seqRemove(c.barrierQ, e.seq)
 	}
 	if e.isLoad || e.isStore {
@@ -983,8 +983,8 @@ func (c *Core) releaseEntry(e *robEntry, squashed bool) {
 	} else {
 		// Commit: this entry's map-table claims revert to the committed
 		// register file.
-		if d, ok := e.inst.DstReg(); ok && c.rat[d] == e.seq {
-			c.rat[d] = 0
+		if d := &e.inst.Dec; d.Dst != isa.XZR && c.rat[d.Dst] == e.seq {
+			c.rat[d.Dst] = 0
 		}
 		if e.tookFlags && c.ratFlags == e.seq {
 			c.ratFlags = 0
@@ -1047,11 +1047,9 @@ func (c *Core) commit() {
 func (c *Core) commitEntry(e *robEntry) {
 	in := e.inst
 	// Write back register results and flags.
-	if e.hasResult {
-		if d, ok := in.DstReg(); ok {
-			c.cRegs[d] = e.result
-			c.cSecret[d] = e.secret
-		}
+	if d := &in.Dec; e.hasResult && d.Dst != isa.XZR {
+		c.cRegs[d.Dst] = e.result
+		c.cSecret[d.Dst] = e.secret
 	}
 	if e.writesFlags {
 		c.cFlags = e.outFlags

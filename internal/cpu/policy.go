@@ -35,10 +35,8 @@ func (r blockReason) ctr() ctr { return ctrBlockAtomic + ctr(r-blockAtomic) }
 // issue's verdicts hold across a skipped span (skip.go). DoM's probe reads
 // LFB fill timing, which no core event tracks.
 func (c *Core) policyBlocksIssue(e *robEntry) blockReason {
-	in := e.inst
-
 	// Structural, not a mitigation: atomics and barriers run at the head.
-	if in.Op == isa.SWPAL && (e.seq != c.headSeq || c.speculative(e)) {
+	if e.inst.Op == isa.SWPAL && (e.seq != c.headSeq || c.speculative(e)) {
 		return blockAtomic
 	}
 
@@ -64,12 +62,7 @@ func (c *Core) policyBlocksIssue(e *robEntry) blockReason {
 	// SpecASan delay-all ablation: every tagged speculative load waits for
 	// speculation to resolve, mismatching or not.
 	if c.specChecks && !c.selectiveDly && e.isLoad && c.speculative(e) {
-		rn, _ := c.readSource2(e, in.Rn)
-		rm := uint64(0)
-		if !in.HasImm {
-			rm, _ = c.readSource2(e, in.Rm)
-		}
-		if mte.Key(isa.EffAddr(in, rn, rm)) != 0 {
+		if mte.Key(c.effAddr(e)) != 0 {
 			return blockDelayAll
 		}
 	}
@@ -81,12 +74,7 @@ func (c *Core) policyBlocksIssue(e *robEntry) blockReason {
 	// change observable fill state pay; the probe itself is side-effect
 	// free (no ports, no LRU, no fills).
 	if c.domOn && e.isLoad && c.speculative(e) {
-		rn, _ := c.readSource2(e, in.Rn)
-		rm := uint64(0)
-		if !in.HasImm {
-			rm, _ = c.readSource2(e, in.Rm)
-		}
-		if !c.hier.Probe(c.ID, isa.EffAddr(in, rn, rm), c.cycle, c.domLFBHit) {
+		if !c.hier.Probe(c.ID, c.effAddr(e), c.cycle, c.domLFBHit) {
 			return blockDoM
 		}
 	}
@@ -145,7 +133,7 @@ func (c *Core) recordEvent(e *robEntry, ch core.LeakChannel) {
 // otherwise every USE-stage shift would register as a leak and no
 // delay-the-transmit defence could ever be rated effective.
 func (c *Core) recordContention(e *robEntry) {
-	if e.inst.Classify() == isa.ClassMulDiv {
+	if e.inst.Dec.Class == isa.ClassMulDiv {
 		c.recordEvent(e, core.ChanPort)
 	}
 }

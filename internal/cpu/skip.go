@@ -171,8 +171,8 @@ func (c *Core) nextEventCycle() uint64 {
 			// unblocking requires a commit or issue, events seen above.
 		} else {
 			fi := &c.fetchQ[c.fqHead]
-			if (fi.inst.IsLoad() && c.lqCount >= c.cfg.LQEntries) ||
-				(fi.inst.IsStore() && c.sqCount >= c.cfg.SQEntries) {
+			if (fi.inst.Dec.Load && c.lqCount >= c.cfg.LQEntries) ||
+				(fi.inst.Dec.Store && c.sqCount >= c.cfg.SQEntries) {
 				// Silent LSQ block; unblocked by a commit, covered above.
 			} else {
 				return now + 1
@@ -190,7 +190,7 @@ func (c *Core) nextEventCycle() uint64 {
 			}
 			// Live blocker: fetch only burns the CFI-stall counter (added
 			// analytically); release is a branch event, covered above.
-		} else if c.prog.InstAt(c.fetchPC) != nil {
+		} else if c.instAt(c.fetchPC) != nil {
 			consider(c.fetchStallTo) // resumes once the i-cache stall expires
 		}
 		// Off the code edge: fetch stays idle until a squash redirects it —
@@ -263,11 +263,15 @@ func (m *Machine) skipIdle() {
 	}
 	// Never skip across a watchdog boundary: Check must observe the same
 	// multiples of CheckEvery it would unskipped (this also bounds the jump
-	// when no core reports an event — a wedge the watchdog will call).
-	if m.Watchdog != nil && m.Watchdog.CheckEvery > 0 {
-		if b := (now/m.Watchdog.CheckEvery + 1) * m.Watchdog.CheckEvery; b < target {
-			target = b
+	// when no core reports an event — a wedge the watchdog will call). The
+	// boundary is the first multiple after now; one at now itself is the
+	// scan Check is about to run for this cycle.
+	if w := m.Watchdog; w != nil && w.CheckEvery > 0 {
+		b := w.scanAt(now)
+		if b == now {
+			b += w.CheckEvery
 		}
+		target = min(target, b)
 	}
 	// Never skip past the run's cycle budget: a timed-out run must end on
 	// the same cycle count as an unskipped one.

@@ -41,9 +41,13 @@ type Watchdog struct {
 	// StallCycles is how long a core may go without advancing its ROB head
 	// before the run is declared wedged.
 	StallCycles uint64
-	// CheckEvery is the cycle interval between scans.
+	// CheckEvery is the cycle interval between scans: Check scans at its
+	// multiples. A change takes effect after the next scheduled scan.
 	CheckEvery uint64
 
+	// next is the first multiple of CheckEvery after the last cycle Check
+	// or the idle skip looked at: Check does nothing before it.
+	next       uint64
 	lastHead   []uint64 // per-core headSeq at the previous scan
 	lastChange []uint64 // per-core cycle of the last observed head advance
 }
@@ -59,12 +63,25 @@ func NewWatchdog(cores int) *Watchdog {
 	}
 }
 
+// scanAt returns the first multiple of CheckEvery at or after now: the next
+// cycle Check scans. The stored value stays current while Check sees every
+// cycle; it is recomputed only when cycles went by unseen (a caller
+// stepping the machine without Run). CheckEvery must be non-zero.
+func (w *Watchdog) scanAt(now uint64) uint64 {
+	if w.next < now {
+		w.next = (now + w.CheckEvery - 1) / w.CheckEvery * w.CheckEvery
+	}
+	return w.next
+}
+
 // Check scans every live core and returns a SimError if one has stalled or
-// broken a pipeline invariant. It is cheap on non-scan cycles.
+// broken a pipeline invariant. It is cheap on non-scan cycles: one compare
+// against the stored next scan cycle.
 func (w *Watchdog) Check(m *Machine) *SimError {
-	if w.CheckEvery == 0 || m.cycle%w.CheckEvery != 0 {
+	if m.cycle < w.next || w.CheckEvery == 0 || w.scanAt(m.cycle) != m.cycle {
 		return nil
 	}
+	w.next = m.cycle + w.CheckEvery
 	for i, c := range m.Cores {
 		if c.Halted || c.Faulted {
 			continue
@@ -107,6 +124,7 @@ func (c *Core) checkInvariants() (kind, detail string) {
 	iq, lq, sq := 0, 0, 0
 	unresolved, tagWrites := 0, 0
 	branches, barriers := 0, 0
+	brDue, lsqDue := noEvent, noEvent
 	for s := c.headSeq; s < c.nextSeq; s++ {
 		e := &c.rob[s&c.robMask]
 		if !e.valid {
@@ -116,8 +134,15 @@ func (c *Core) checkInvariants() (kind, detail string) {
 			return "rob-invariant", fmt.Sprintf("entry at slot %d holds seq %d, want %d",
 				s&c.robMask, e.seq, s)
 		}
-		if e.state == stDispatched {
+		switch e.state {
+		case stDispatched:
 			iq++
+		case stExecuting: // only branches enter stExecuting
+			brDue = min(brDue, e.doneAt)
+		case stWaitMem:
+			lsqDue = min(lsqDue, e.doneAt)
+		case stWaitUnsafe: // polled every cycle until a branch releases it
+			lsqDue = min(lsqDue, c.cycle+1)
 		}
 		if e.isLoad {
 			lq++
@@ -127,14 +152,14 @@ func (c *Core) checkInvariants() (kind, detail string) {
 			if !e.addrReady {
 				unresolved++
 			}
-			if e.inst.Op == isa.STG || e.inst.Op == isa.ST2G {
+			if e.inst.Dec.TagWrite {
 				tagWrites++
 			}
 		}
 		if e.isBranch && !e.brResolved {
 			branches++
 		}
-		if e.inst.Op == isa.SWPAL || e.inst.Op == isa.DSB {
+		if e.inst.Dec.Barrier {
 			barriers++
 		}
 	}
@@ -156,6 +181,15 @@ func (c *Core) checkInvariants() (kind, detail string) {
 	if tagWrites != c.tagWritesInFlight {
 		return "lsq-invariant", fmt.Sprintf("tagWritesInFlight counter %d, recount %d", c.tagWritesInFlight, tagWrites)
 	}
+	// A due cycle may run early (a squash can take its entry away) but
+	// never late: completeExecution or advanceLSQ would sleep through a
+	// completion.
+	if c.brDue > brDue {
+		return "rob-invariant", fmt.Sprintf("brDue %d, recount %d", c.brDue, brDue)
+	}
+	if c.lsqDue > lsqDue {
+		return "lsq-invariant", fmt.Sprintf("lsqDue %d, recount %d", c.lsqDue, lsqDue)
+	}
 	if kind, detail := c.checkQueue("loadQ", c.loadQ, lq, func(e *robEntry) bool { return e.isLoad }); kind != "" {
 		return kind, detail
 	}
@@ -167,7 +201,7 @@ func (c *Core) checkInvariants() (kind, detail string) {
 		return kind, detail
 	}
 	if kind, detail := c.checkQueue("barrierQ", c.barrierQ, barriers,
-		func(e *robEntry) bool { return e.inst.Op == isa.SWPAL || e.inst.Op == isa.DSB }); kind != "" {
+		func(e *robEntry) bool { return e.inst.Dec.Barrier }); kind != "" {
 		return kind, detail
 	}
 	// The rename map table must match what a window scan would compute —

@@ -179,3 +179,105 @@ done:
 		t.Fatalf("String() = %q", res.String())
 	}
 }
+
+// A due cycle later than the work the window holds would let
+// completeExecution or advanceLSQ sleep through a completion. The watchdog
+// recounts both from the window, so each, set one cycle too late on a
+// running machine, must be reported as its invariant failure.
+func TestWatchdogCatchesLateDueCycles(t *testing.T) {
+	prog, err := asm.Assemble(`
+_start:
+    ADR  X0, buf
+    MOV  X1, #0
+loop:
+    LDR  X2, [X0]
+    ADD  X0, X0, #64
+    ADD  X1, X1, #1
+    CMP  X1, #64
+    B.LT loop
+    SVC  #0
+    .org 0x40000
+buf:
+    .space 4096
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, kind string
+		// pending returns the earliest completion the stage has waiting,
+		// and the stage's stored due cycle.
+		pending func(c *Core) (uint64, *uint64)
+	}{
+		{"branch", "rob-invariant", func(c *Core) (uint64, *uint64) {
+			at := noEvent
+			for _, s := range c.branchQ {
+				if e := c.entry(s); e.state == stExecuting {
+					at = min(at, e.doneAt)
+				}
+			}
+			return at, &c.brDue
+		}},
+		{"load", "lsq-invariant", func(c *Core) (uint64, *uint64) {
+			at := noEvent
+			for _, s := range c.loadQ {
+				if e := c.entry(s); e.state == stWaitMem {
+					at = min(at, e.doneAt)
+				}
+			}
+			return at, &c.lsqDue
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := NewMachine(core.DefaultConfig(), core.Unsafe, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Watchdog.CheckEvery = 1
+			late := uint64(0)
+			m.PerCycle = func(cycle uint64) {
+				if at, due := tc.pending(m.Core(0)); late == 0 && at != noEvent && at > cycle {
+					late = at + 1
+					*due = late
+				}
+			}
+			res := m.Run(1_000_000)
+			if late == 0 {
+				t.Fatal("the stage never had a completion pending")
+			}
+			if res.Err == nil || res.Err.Kind != tc.kind {
+				t.Fatalf("due cycle %d, one past the pending completion, not caught: %v", late, res)
+			}
+			t.Log(res.Err.Detail)
+		})
+	}
+}
+
+// A load whose store-to-load forward SpecASan denies (the keys differ)
+// waits in stWaitUnsafe with no memory response due, and advanceLSQ must
+// poll it from the next cycle. With the watchdog recounting every cycle, a
+// due cycle the denial left high is an invariant failure.
+func TestForwardDenialLowersLSQDue(t *testing.T) {
+	m := newMachine(t, core.SpecASan, `
+_start:
+    ADR  X0, buf
+    IRG  X1, X0
+    STG  X1, [X1]
+    MOV  X2, #42
+    STR  X2, [X1]
+    ADDG X3, X1, #0, #1
+    LDR  X4, [X3]
+    SVC  #0
+    .org 0x40000
+buf:
+    .space 64
+`)
+	m.Watchdog.CheckEvery = 1
+	res := m.Run(100_000)
+	if res.Err != nil {
+		t.Fatalf("%v\n%s", res.Err, res.Err.Snapshot)
+	}
+	if m.Core(0).Stats.Get("forward_denied") == 0 {
+		t.Fatal("no forward was denied")
+	}
+}

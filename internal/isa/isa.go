@@ -248,64 +248,82 @@ type Inst struct {
 	Rd   Reg  // destination
 	Rn   Reg  // first source / base
 	Rm   Reg  // second source / offset register
-	Imm  int64
 	// HasImm distinguishes "ADD Xd, Xn, #0" from "ADD Xd, Xn, Xm" when
 	// Rm would be X0.
 	HasImm bool
+
+	// Dec is the instruction's static decode, filled once by Decode (the
+	// assembler decodes every instruction it places). The pipeline reads
+	// these plain fields on every cycle an instruction is in flight instead
+	// of re-deriving them through the accessors below, which stay the one
+	// definition each field is computed from. It sits between the byte-wide
+	// fields and the immediates, in what would otherwise be padding, so an
+	// Inst is no larger for carrying it.
+	Dec Decoded
+
+	Imm int64
 	// Imm2 is the second immediate (MOVK shift, ADDG/SUBG tag offset).
 	Imm2 int64
-
-	// Decode cache: operand lists and classification are pure functions of
-	// the fields above, and the pipeline asks for them every cycle an
-	// instruction is in flight. The assembler calls Decode once per placed
-	// instruction; a zero info means "not decoded" and every accessor falls
-	// back to computing from Op, so hand-built Insts stay correct.
-	info     instInfo
-	class    Class
-	nSrc     uint8
-	nDst     uint8
-	srcCache [3]Reg
-	dstCache [1]Reg
 }
 
-// instInfo is the decoded predicate bitset cached on an Inst.
-type instInfo uint8
+// NoSrc marks an operand field (Rn, Rm or Rd) that is not among an
+// instruction's source registers.
+const NoSrc uint8 = 0xff
 
-const (
-	infoDecoded instInfo = 1 << iota
-	infoLoad
-	infoStore
-	infoBranch
-	infoWritesFlags
-	infoReadsFlags
-)
+// Decoded is an instruction's static decode: every answer the accessors
+// give, computed once.
+type Decoded struct {
+	Class Class
+	Unit  Unit
+	// Bytes is MemBytes: the access width in bytes, 0 for non-memory ops.
+	Bytes uint8
 
-// Decode fills the cached operand lists and classification. It is
-// idempotent, and safe to skip: accessors on a non-decoded Inst compute
-// the same answers from Op. Call it only from single-threaded program
-// construction (the assembler) — it mutates the Inst.
+	Load, Store, Branch     bool
+	WritesFlags, ReadsFlags bool
+	Barrier                 bool // IsBarrier: SWPAL or DSB
+	TagWrite                bool // WritesTag: STG or ST2G
+	// Dst is DstReg's register, or XZR when the instruction writes none
+	// (writes to XZR are discarded, so the two are the same to rename).
+	Dst              Reg
+	NSrc             uint8
+	Srcs             [3]Reg // Srcs' registers, NSrc of them
+	RnAt, RmAt, RdAt uint8  // first index of Rn/Rm/Rd in Srcs, or NoSrc
+}
+
+// Decode fills in.Dec from the accessor definitions. It is idempotent.
+// Call it only from single-threaded program construction (the assembler):
+// it mutates the Inst, and a Program's instructions are shared read-only by
+// every core that runs it.
 func (in *Inst) Decode() {
-	in.info = 0
-	in.class = in.Classify()
-	in.nSrc = uint8(len(in.Srcs(in.srcCache[:0])))
-	in.nDst = uint8(len(in.Dsts(in.dstCache[:0])))
-	var f instInfo = infoDecoded
-	if in.IsLoad() {
-		f |= infoLoad
+	d := Decoded{
+		Class:       in.Classify(),
+		Unit:        in.Unit(),
+		Bytes:       uint8(in.MemBytes()),
+		Load:        in.IsLoad(),
+		Store:       in.IsStore(),
+		Branch:      in.IsBranch(),
+		WritesFlags: in.WritesFlags(),
+		ReadsFlags:  in.ReadsFlags(),
+		Barrier:     in.IsBarrier(),
+		TagWrite:    in.WritesTag(),
 	}
-	if in.IsStore() {
-		f |= infoStore
+	d.Dst = XZR
+	if r, ok := in.DstReg(); ok {
+		d.Dst = r
 	}
-	if in.IsBranch() {
-		f |= infoBranch
+	d.NSrc = uint8(len(in.Srcs(d.Srcs[:0])))
+	d.RnAt, d.RmAt, d.RdAt = d.srcIndex(in.Rn), d.srcIndex(in.Rm), d.srcIndex(in.Rd)
+	in.Dec = d
+}
+
+// srcIndex returns the first index of r among the decoded sources, or NoSrc.
+func (d *Decoded) srcIndex(r Reg) uint8 {
+	for i := uint8(0); i < d.NSrc; i++ {
+		if d.Srcs[i] == r {
+			return i
+		}
 	}
-	if in.WritesFlags() {
-		f |= infoWritesFlags
-	}
-	if in.ReadsFlags() {
-		f |= infoReadsFlags
-	}
-	in.info = f
+	return NoSrc
 }
 
 // Class is the coarse functional class of an instruction, used by the issue
@@ -329,9 +347,6 @@ const (
 
 // Classify returns the functional class of the instruction.
 func (in *Inst) Classify() Class {
-	if in.info&infoDecoded != 0 {
-		return in.class
-	}
 	switch in.Op {
 	case NOP, BTI, YIELD, ISB:
 		return ClassNop
@@ -340,14 +355,11 @@ func (in *Inst) Classify() Class {
 		return ClassALU
 	case MUL, UDIV, SDIV:
 		return ClassMulDiv
-	case LDR, LDRB, LDG:
-		if in.Op == LDG {
-			return ClassTagOp
-		}
+	case LDR, LDRB:
 		return ClassLoad
 	case STR, STRB:
 		return ClassStore
-	case STG, ST2G:
+	case STG, ST2G, LDG:
 		return ClassTagOp
 	case SWPAL:
 		return ClassAtomic
@@ -374,9 +386,6 @@ func (in *Inst) IsMemAccess() bool {
 
 // IsLoad reports whether the instruction reads data memory.
 func (in *Inst) IsLoad() bool {
-	if in.info&infoDecoded != 0 {
-		return in.info&infoLoad != 0
-	}
 	switch in.Op {
 	case LDR, LDRB, SWPAL, LDG:
 		return true
@@ -386,9 +395,6 @@ func (in *Inst) IsLoad() bool {
 
 // IsStore reports whether the instruction writes data memory.
 func (in *Inst) IsStore() bool {
-	if in.info&infoDecoded != 0 {
-		return in.info&infoStore != 0
-	}
 	switch in.Op {
 	case STR, STRB, SWPAL, STG, ST2G:
 		return true
@@ -398,9 +404,6 @@ func (in *Inst) IsStore() bool {
 
 // IsBranch reports whether the instruction can redirect control flow.
 func (in *Inst) IsBranch() bool {
-	if in.info&infoDecoded != 0 {
-		return in.info&infoBranch != 0
-	}
 	switch in.Classify() {
 	case ClassBranch, ClassIndirect:
 		return true
@@ -415,6 +418,43 @@ func (in *Inst) IsConditional() bool {
 		return true
 	}
 	return false
+}
+
+// IsBarrier reports whether the instruction orders younger loads behind it
+// until it completes: the SWPAL atomic and the DSB barrier.
+func (in *Inst) IsBarrier() bool { return in.Op == SWPAL || in.Op == DSB }
+
+// WritesTag reports whether the instruction writes allocation tags (STG,
+// ST2G); the tag image changes when it commits.
+func (in *Inst) WritesTag() bool { return in.Op == STG || in.Op == ST2G }
+
+// Unit is the functional unit an instruction issues to.
+type Unit uint8
+
+// Functional units. UnitMem instructions take cache ports, which the cache
+// hierarchy models, so the issue stage books nothing for them.
+const (
+	UnitMem Unit = iota
+	UnitALU
+	UnitMul // pipelined multiplier
+	UnitDiv // non-pipelined divider
+	UnitBranch
+)
+
+// Unit returns the functional unit the instruction issues to.
+func (in *Inst) Unit() Unit {
+	switch in.Classify() {
+	case ClassMulDiv:
+		if in.Op == MUL {
+			return UnitMul
+		}
+		return UnitDiv
+	case ClassBranch, ClassIndirect:
+		return UnitBranch
+	case ClassALU, ClassNop, ClassSystem:
+		return UnitALU
+	}
+	return UnitMem
 }
 
 // MemBytes returns the access width in bytes for memory instructions, 0
@@ -436,14 +476,6 @@ func (in *Inst) MemBytes() int {
 // Srcs appends the architectural source registers read by the instruction.
 // XZR sources are included (they are trivially ready).
 func (in *Inst) Srcs(dst []Reg) []Reg {
-	if in.info&infoDecoded != 0 {
-		// Element-wise appends: the spread form memmoves even for the
-		// common 1-2 source registers.
-		for i := uint8(0); i < in.nSrc; i++ {
-			dst = append(dst, in.srcCache[i])
-		}
-		return dst
-	}
 	add := func(r Reg) {
 		if r < NumRegs {
 			dst = append(dst, r)
@@ -514,12 +546,6 @@ func (in *Inst) Srcs(dst []Reg) []Reg {
 // Dsts appends the architectural destination registers written by the
 // instruction. XZR destinations are omitted (writes are discarded).
 func (in *Inst) Dsts(dst []Reg) []Reg {
-	if in.info&infoDecoded != 0 {
-		if in.nDst != 0 {
-			dst = append(dst, in.dstCache[0])
-		}
-		return dst
-	}
 	add := func(r Reg) {
 		if r < NumRegs && r != XZR {
 			dst = append(dst, r)
@@ -541,9 +567,6 @@ func (in *Inst) Dsts(dst []Reg) []Reg {
 // instruction in this ISA writes more than one register (Dsts never
 // returns XZR, and neither does this).
 func (in *Inst) DstReg() (Reg, bool) {
-	if in.info&infoDecoded != 0 {
-		return in.dstCache[0], in.nDst != 0
-	}
 	var buf [1]Reg
 	d := in.Dsts(buf[:0])
 	if len(d) == 0 {
@@ -554,9 +577,6 @@ func (in *Inst) DstReg() (Reg, bool) {
 
 // WritesFlags reports whether the instruction updates NZCV.
 func (in *Inst) WritesFlags() bool {
-	if in.info&infoDecoded != 0 {
-		return in.info&infoWritesFlags != 0
-	}
 	switch in.Op {
 	case ADDS, SUBS, CMP:
 		return true
@@ -566,9 +586,6 @@ func (in *Inst) WritesFlags() bool {
 
 // ReadsFlags reports whether the instruction reads NZCV.
 func (in *Inst) ReadsFlags() bool {
-	if in.info&infoDecoded != 0 {
-		return in.info&infoReadsFlags != 0
-	}
 	switch in.Op {
 	case BCC, CSEL:
 		return true

@@ -311,9 +311,17 @@ func (s *Scenario) Hash() string {
 }
 
 // MarshalJSONIndent renders the scenario as a checked-in-friendly document:
-// two-space indent, trailing newline.
+// two-space indent, trailing newline. The document names no base preset
+// (Extends is provenance, outside the hash): layered over its original base,
+// a field the document leaves out, an omitempty zero or a nil section,
+// would take the base's value, as a fuzz section set to null, or
+// fuzz.candidates set to 0, would over fuzz-smoke. Parse lays it over
+// table2, whose optional sections and omitempty fields are all empty, and
+// so gives back a scenario with the same Hash.
 func (s *Scenario) MarshalJSONIndent() ([]byte, error) {
-	b, err := json.MarshalIndent(s, "", "  ")
+	c := *s
+	c.Extends = ""
+	b, err := json.MarshalIndent(&c, "", "  ")
 	if err != nil {
 		return nil, err
 	}
