@@ -116,13 +116,20 @@ func RunVariant(v Variant, mit core.Mitigation) (*Outcome, error) {
 // RunVariantWith builds one variant and runs it with a machine-preparation
 // hook applied after the scenario's own setup — the entry point the chaos
 // injector uses to perturb attack runs for verdict-invariance checking.
+// The machine's life ends here: once the Outcome is built it is released
+// for the next run to reuse, so prep may attach hooks, tracers and metrics
+// to it but must not keep the machine itself.
 func RunVariantWith(v Variant, mit core.Mitigation, prep func(*cpu.Machine)) (*Outcome, error) {
 	sc, err := v.Build()
 	if err != nil {
 		return nil, fmt.Errorf("build %s: %w", v.Name, err)
 	}
-	out, _, _, err := RunScenario(v.Name, sc, mit, prep)
-	return out, err
+	out, m, _, err := RunScenario(v.Name, sc, mit, prep)
+	if err != nil {
+		return nil, err
+	}
+	m.Release()
+	return out, nil
 }
 
 // RunScenario runs a built scenario under mit on a fresh machine, applying

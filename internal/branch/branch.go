@@ -7,7 +7,11 @@
 // internal/attacks exploit.
 package branch
 
-import "fmt"
+import (
+	"fmt"
+
+	"specasan/internal/recycle"
+)
 
 // Predictor bundles the per-core prediction state.
 type Predictor struct {
@@ -61,8 +65,8 @@ func New(cfg Config) (*Predictor, error) {
 	}
 	p := &Predictor{
 		phtBits: cfg.PHTBits,
-		pht:     make([]uint8, 1<<cfg.PHTBits),
-		btb:     make([]btbEntry, size),
+		pht:     phts.Make(1 << cfg.PHTBits),
+		btb:     btbs.Make(size),
 		btbMask: uint64(size - 1),
 		rsb:     make([]uint64, cfg.RSBDepth),
 		bhbLen:  cfg.BHBLen,
@@ -73,6 +77,20 @@ func New(cfg Config) (*Predictor, error) {
 		p.pht[i] = 2
 	}
 	return p, nil
+}
+
+// phts and btbs keep the tables of released predictors (see Release).
+var (
+	phts recycle.Slices[uint8]
+	btbs recycle.Slices[btbEntry]
+)
+
+// Release hands the PHT and BTB back for a later New to reuse and nils
+// them: the predictor must not be used again. Its stats stay readable.
+func (p *Predictor) Release() {
+	phts.Free(p.pht)
+	btbs.Free(p.btb)
+	p.pht, p.btb = nil, nil
 }
 
 func (p *Predictor) phtIndex(pc uint64) uint64 {

@@ -20,6 +20,7 @@ import (
 	"specasan/internal/mem"
 	"specasan/internal/mte"
 	"specasan/internal/obs"
+	"specasan/internal/recycle"
 )
 
 // line is one cache line's metadata. Data bytes live in the memory image;
@@ -103,6 +104,19 @@ func NewLevel(name string, sizeBytes, ways, lineSz int, hitLat uint64, ports, ms
 	}, nil
 }
 
+// lineChunks keeps the line chunks of released levels (see
+// Hierarchy.Release).
+var lineChunks recycle.Slices[line]
+
+// release hands the level's line chunks back and nils the chunk table, so
+// a later probe panics instead of reading chunks another level now owns.
+func (l *Level) release() {
+	for _, c := range l.chunks {
+		lineChunks.Free(c)
+	}
+	l.chunks = nil
+}
+
 func (l *Level) lineAddr(addr uint64) uint64 { return addr &^ uint64(l.lineSz-1) }
 
 // set returns the ways of addr's set, allocating its chunk when alloc is
@@ -114,7 +128,7 @@ func (l *Level) set(addr uint64, alloc bool) []line {
 		if !alloc {
 			return nil
 		}
-		c = make([]line, (l.chunkMask+1)*uint64(l.ways))
+		c = lineChunks.Make(int(l.chunkMask+1) * l.ways)
 		l.chunks[s>>l.chunkShift] = c
 	}
 	base := int(s&l.chunkMask) * l.ways
@@ -494,6 +508,18 @@ func NewHierarchy(cfg HierConfig, img *mem.Image) (*Hierarchy, error) {
 		h.Ghost = append(h.Ghost, NewGhost(cfg.GhostSize))
 	}
 	return h, nil
+}
+
+// Release hands every level's line chunks and the directory's slots back
+// for later hierarchies to reuse and nils them: the hierarchy must not be
+// accessed again. Its stats stay readable.
+func (h *Hierarchy) Release() {
+	for i := range h.L1I {
+		h.L1I[i].release()
+		h.L1D[i].release()
+	}
+	h.L2.release()
+	h.dir.release()
 }
 
 func (h *Hierarchy) lineAddr(addr uint64) uint64 { return addr &^ uint64(h.lineSz-1) }

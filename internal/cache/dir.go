@@ -1,5 +1,7 @@
 package cache
 
+import "specasan/internal/recycle"
+
 // dirTable is the coherence directory's backing store: an open-addressed,
 // linear-probed hash table from line address to dirEntry, replacing the
 // previous map[uint64]*dirEntry. Entries live inline in the slot array, so
@@ -36,8 +38,18 @@ func dirHash(key uint64) uint64 {
 	return key ^ key>>29
 }
 
+// dirSlots keeps the slot arrays of released directories (see release).
+var dirSlots recycle.Slices[dirSlot]
+
 func newDirTable() *dirTable {
-	return &dirTable{slots: make([]dirSlot, 256)}
+	return &dirTable{slots: dirSlots.Make(256)}
+}
+
+// release hands the slot array back and nils it, so a later lookup panics
+// instead of reading slots another directory now owns.
+func (t *dirTable) release() {
+	dirSlots.Free(t.slots)
+	t.slots = nil
 }
 
 // get returns the entry for key, or nil when absent.
@@ -112,7 +124,7 @@ func (t *dirTable) rehash() {
 		n *= 2
 	}
 	old := t.slots
-	t.slots = make([]dirSlot, n)
+	t.slots = dirSlots.Make(n)
 	t.live, t.used = 0, 0
 	mask := uint64(n - 1)
 	for i := range old {
@@ -130,4 +142,5 @@ func (t *dirTable) rehash() {
 			}
 		}
 	}
+	dirSlots.Free(old)
 }

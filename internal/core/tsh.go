@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"specasan/internal/recycle"
+)
 
 // TCS is the two-bit tag check status SpecASan attaches to every LSQ entry
 // (§3.3.2): "init" (00), "safe" (01), "unsafe" (10), "wait" (11).
@@ -84,18 +88,29 @@ func NewTSH(rob ROBSignal) *TSH {
 	return t
 }
 
+// tshRings keeps the slot rings of released TSHs (see ReleaseRing).
+var tshRings recycle.Slices[tshSlot]
+
 // grow resizes the ring to n slots (a power of two) and reinserts the
 // live entries. Distinct live seqs within one window cannot collide once
 // n exceeds the window span, so growth terminates.
 func (t *TSH) grow(n int) {
 	old := t.slots
-	t.slots = make([]tshSlot, n)
+	t.slots = tshRings.Make(n)
 	t.mask = uint64(n - 1)
 	for _, s := range old {
 		if s.live {
 			t.slots[s.seq&t.mask] = s
 		}
 	}
+	tshRings.Free(old)
+}
+
+// ReleaseRing hands the slot ring back for a later TSH to reuse and nils
+// it: the TSH must not be used again. Stats stay readable.
+func (t *TSH) ReleaseRing() {
+	tshRings.Free(t.slots)
+	t.slots = nil
 }
 
 // set stores status v for seq, claiming or resizing a slot as needed.

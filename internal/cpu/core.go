@@ -19,6 +19,7 @@ import (
 	"specasan/internal/mem"
 	"specasan/internal/mte"
 	"specasan/internal/obs"
+	"specasan/internal/recycle"
 	"specasan/internal/stats"
 )
 
@@ -485,7 +486,7 @@ func NewCore(id int, cfg *core.Config, mit core.Mitigation, prog *asm.Program,
 		hier:    hier,
 		img:     img,
 		oracle:  oracle,
-		rob:     make([]robEntry, pow2ceil(cfg.ROBEntries)),
+		rob:     robs.Make(pow2ceil(cfg.ROBEntries)),
 		robCap:  cfg.ROBEntries,
 		nextSeq: 1,
 		headSeq: 1,
@@ -525,6 +526,9 @@ func NewCore(id int, cfg *core.Config, mit core.Mitigation, prog *asm.Program,
 	c.tsh = core.NewTSH(tshROB{c})
 	return c
 }
+
+// robs keeps the ROBs of released machines (see Machine.Release).
+var robs recycle.Slices[robEntry]
 
 // tshROB adapts the core's ROB to the TSH's SSA signalling interface.
 type tshROB struct{ c *Core }

@@ -179,6 +179,26 @@ func (m *Machine) AttachObs(tr *obs.Tracer, met *obs.Metrics) {
 	}
 }
 
+// Release ends the machine's life: each core's ROB, TSH slot ring and
+// predictor tables, the hierarchy's line chunks and directory slots, and
+// the image's page table and frames go back for later machines to reuse,
+// zeroed, and the machine's references to them are nilled, so stepping a
+// released machine panics instead of touching another machine's arrays.
+// What a run returned stays readable — its RunResult and Stats, each core's
+// registers and Output, the oracle's events and every stats counter —
+// because none of it lives in recycled storage. Only the last user of a
+// machine may release it; Release twice is harmless.
+func (m *Machine) Release() {
+	for _, c := range m.Cores {
+		robs.Free(c.rob)
+		c.rob = nil
+		c.tsh.ReleaseRing()
+		c.pred.Release()
+	}
+	m.Hier.Release()
+	m.Img.Release()
+}
+
 // Core returns core i.
 func (m *Machine) Core(i int) *Core { return m.Cores[i] }
 

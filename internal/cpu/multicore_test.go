@@ -23,6 +23,12 @@ func multicoreFingerprint(t *testing.T, build func(t *testing.T) *Machine, skip 
 	t.Helper()
 	m := build(t)
 	m.SkipIdle = skip
+	return runFingerprint(m, budget)
+}
+
+// runFingerprint runs m for up to budget cycles with tracing and metrics
+// attached and flattens everything observable (see multicoreFingerprint).
+func runFingerprint(m *Machine, budget uint64) string {
 	tr := obs.NewTracer(len(m.Cores), 0)
 	met := obs.NewMetrics(len(m.Cores))
 	m.AttachObs(tr, met)

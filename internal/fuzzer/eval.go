@@ -77,7 +77,9 @@ func runGolden(c *Candidate, prog *asm.Program, mteOn bool) *goldenState {
 
 // EvaluateCandidate runs c under every mitigation in mits, judges each
 // outcome against the claims model, and architecturally cross-checks every
-// flagged leak against the golden interpreter.
+// flagged leak against the golden interpreter. Every machine it builds, and
+// both golden images, end their life here: each is released for the next
+// run to reuse as soon as it has been judged.
 func EvaluateCandidate(c *Candidate, mits []core.Mitigation) *Evaluation {
 	ev := &Evaluation{Hash: c.Hash()}
 	prog, err := asm.Assemble(c.Source)
@@ -93,6 +95,8 @@ func EvaluateCandidate(c *Candidate, mits []core.Mitigation) *Evaluation {
 		false: runGolden(c, prog, false),
 		true:  runGolden(c, prog, true),
 	}
+	defer gold[false].ip.Mem.Release()
+	defer gold[true].ip.Mem.Release()
 	for _, mode := range []bool{false, true} {
 		if r := gold[mode].res.Reason; r != golden.StopExit {
 			ev.InvalidReason = fmt.Sprintf("golden (mte=%v) stopped with %v at pc %#x", mode, r, gold[mode].res.PC)
@@ -143,6 +147,7 @@ func EvaluateCandidate(c *Candidate, mits []core.Mitigation) *Evaluation {
 				ev.KnownGapLeaks = append(ev.KnownGapLeaks, mit.String())
 			}
 		}
+		m.Release()
 	}
 	return ev
 }

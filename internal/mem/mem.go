@@ -19,6 +19,7 @@ import (
 	"specasan/internal/asm"
 	"specasan/internal/isa"
 	"specasan/internal/mte"
+	"specasan/internal/recycle"
 )
 
 const (
@@ -130,7 +131,7 @@ func (m *Image) pageFor(pn uint64) *page {
 	if p := m.pageAt(pn); p != nil {
 		return p
 	}
-	p := new(page)
+	p := frames.New()
 	if pn < rootPages {
 		if pn >= uint64(len(m.root)) {
 			n := uint64(len(m.root)) * 2
@@ -143,8 +144,9 @@ func (m *Image) pageFor(pn uint64) *page {
 			if n > rootPages {
 				n = rootPages
 			}
-			grown := make([]*page, n)
+			grown := roots.Make(int(n))
 			copy(grown, m.root)
+			roots.Free(m.root)
 			m.root = grown
 		}
 		m.root[pn] = p
@@ -156,6 +158,30 @@ func (m *Image) pageFor(pn uint64) *page {
 	}
 	m.numPages++
 	return p
+}
+
+// frames and roots keep the page frames and page tables of released images
+// (see Release).
+var (
+	frames recycle.Objects[page]
+	roots  recycle.Slices[*page]
+)
+
+// Release hands every page frame and the page table back for later images
+// to reuse and leaves the image empty. The caller must hold no slice
+// FrameAt or FrameFor returned: the frame behind it now belongs to another
+// image.
+func (m *Image) Release() {
+	for _, p := range m.root {
+		if p != nil {
+			frames.Free(p)
+		}
+	}
+	for _, p := range m.high {
+		frames.Free(p)
+	}
+	roots.Free(m.root)
+	m.root, m.high, m.numPages, m.tagged = nil, nil, 0, 0
 }
 
 // PageAddrs returns the base address of every allocated page, sorted — the
