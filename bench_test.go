@@ -9,14 +9,12 @@ package specasan
 
 import (
 	"fmt"
-	"io"
 	"testing"
 
 	"specasan/internal/asm"
 	"specasan/internal/attacks"
 	"specasan/internal/core"
 	"specasan/internal/cpu"
-	"specasan/internal/golden"
 	"specasan/internal/harness"
 	"specasan/internal/hwcost"
 	"specasan/internal/isa"
@@ -251,81 +249,6 @@ func BenchmarkAblationLFBTags(b *testing.B) {
 		}
 		b.ReportMetric(float64(leaksWith), "leaksWithLFBTags")
 		b.ReportMetric(float64(leaksWithout), "leaksWithoutLFBTags")
-	}
-}
-
-// BenchmarkSimulatorThroughput reports raw simulation speed in simulated
-// instructions per wall-clock second.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	spec := workloads.ByName("508.namd_r")
-	prog, err := spec.Build(false, benchScale)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var insts uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := cpu.NewMachine(core.DefaultConfig(), core.Unsafe, prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := m.Run(500_000_000)
-		insts += res.Committed
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim-insts/s")
-}
-
-// BenchmarkGoldenThroughput reports the functional golden interpreter's
-// speed in simulated instructions per wall-clock second — the fast-forward
-// engine sampled simulation rides on. Compare against
-// BenchmarkSimulatorThroughput for the functional-vs-detailed speed ratio
-// (the headroom sampling converts into wall-clock).
-func BenchmarkGoldenThroughput(b *testing.B) {
-	spec := workloads.ByName("508.namd_r")
-	prog, err := spec.Build(false, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var insts uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := golden.New(prog).Run(1 << 62)
-		if res.Reason != golden.StopExit {
-			b.Fatalf("walk ended %v", res.Reason)
-		}
-		insts += res.Insts
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim-insts/s")
-}
-
-// BenchmarkSampledSweep runs the Figure 6 workload set under windowed
-// fast-forward sampling — the wall-clock configuration BENCH_sim.json's
-// speedup_vs_full entry certifies at full scale.
-func BenchmarkSampledSweep(b *testing.B) {
-	specs := []*workloads.Spec{
-		workloads.ByName("500.perlbench_r"), workloads.ByName("505.mcf_r"),
-		workloads.ByName("508.namd_r"), workloads.ByName("523.xalancbmk_r"),
-	}
-	opt := benchOpts()
-	opt.SampleWindows = 4
-	opt.SampleWindowInsts = 10_000
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.RunSweep(specs, harness.Figure6Mitigations(), opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSecurityMatrixFormat exercises the full harness path end to end
-// (build every PoC, run every cell, format the table).
-func BenchmarkSecurityMatrixFormat(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := harness.SecurityMatrix(io.Discard); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -6,7 +6,6 @@
 //	-fig 9   SpecCFI vs SpecASan vs SpecASan+CFI on SPEC
 //	-fig 1   defence-class timing comparison on a Spectre-v1 gadget
 //	-all     everything
-//	-perf    measure the simulator itself and write BENCH_sim.json
 //
 // Each figure is a preset scenario (figure6 ... figure9) with the typed
 // flags applied over it, the same way -scenario runs any other scenario; its
@@ -16,9 +15,10 @@
 // cores step serially in core-ID order. -store caches -scenario sweeps only:
 // the figures simulate each distinct cell once per run, sharing one
 // in-process memo (with -all, every Figure 8 cell and Figure 9's Unsafe and
-// SpecASan columns repeat a Figure 6 or 7 cell), and -metrics-out, -trace
-// and -perf runs simulate every cell. -cpuprofile and -memprofile capture
-// stdlib pprof profiles of the run.
+// SpecASan columns repeat a Figure 6 or 7 cell), and -metrics-out and
+// -trace runs simulate every cell. -cpuprofile and -memprofile capture
+// stdlib pprof profiles of the run. The simulator's own speed is measured by
+// the repository benchmark (bench/), not by this command.
 package main
 
 import (
@@ -37,11 +37,6 @@ import (
 	"specasan/internal/store"
 	"specasan/internal/workloads"
 )
-
-// perfSteps is the steady-state step count behind the -perf single-core
-// measurement: long enough to amortise timer noise, short enough to finish
-// in about a second.
-const perfSteps = 500_000
 
 // figure is one sweep figure: its preset and one table title per suite in
 // the preset's workload order (Figure 8 prints SPEC and PARSEC separately).
@@ -75,10 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fig := f.Int("fig", 0, "figure to regenerate (1, 6, 7, 8, 9)")
 	all := f.Bool("all", false,
 		"regenerate every figure, simulating each distinct cell once (-metrics-out and -trace runs simulate every cell)")
-	perf := f.Bool("perf", false, "measure simulator performance and write a BENCH_sim.json report")
-	perfOut := f.String("perf-out", "BENCH_sim.json", "where -perf writes its report")
-	perfNote := f.String("perf-note", "",
-		"override the -perf history entry's description (default: a summary of the active fast paths)")
 	traceCell := f.String("trace", "", "record a Chrome trace of one sweep cell, named benchmark/mitigation (e.g. 505.mcf_r/SpecASan)")
 	f.Parse(args)
 
@@ -88,25 +79,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	_, sweepFig := figures[*fig]
 	switch {
-	case f.Scenario != "" && (*fig != 0 || *all || *perf):
-		fmt.Fprintln(stderr, "specasan-bench: -scenario is a complete sweep description; combine overrides into the scenario instead of -fig/-all/-perf")
+	case f.Scenario != "" && (*fig != 0 || *all):
+		fmt.Fprintln(stderr, "specasan-bench: -scenario is a complete sweep description; combine overrides into the scenario instead of -fig/-all")
 		return 1
-	case f.Scenario == "" && !*perf && !*all && *fig != 1 && !sweepFig:
+	case f.Scenario == "" && !*all && *fig != 1 && !sweepFig:
 		fmt.Fprintln(stderr, "specasan-bench: pick -fig 1|6|7|8|9 or -all")
 		return 2
 	}
 
-	if err := bench(f, figs, *perf, *perfOut, *perfNote, *traceCell, stdout, stderr); err != nil {
+	if err := bench(f, figs, *traceCell, stdout, stderr); err != nil {
 		fmt.Fprintln(stderr, "specasan-bench:", err)
 		return 1
 	}
 	return 0
 }
 
-// bench runs what the flags ask for: the -perf measurement, the -scenario
-// sweep, or the figures.
-func bench(f *scenario.Flags, figs []int, perf bool, perfOut, perfNote, traceCell string,
-	stdout, stderr io.Writer) error {
+// bench runs what the flags ask for: the -scenario sweep or the figures.
+func bench(f *scenario.Flags, figs []int, traceCell string, stdout, stderr io.Writer) error {
 	out := f.Out
 	stopProf, err := prof.Start(out.CPUProfile, out.MemProfile)
 	if err != nil {
@@ -117,14 +106,6 @@ func bench(f *scenario.Flags, figs []int, perf bool, perfOut, perfNote, traceCel
 			fmt.Fprintln(stderr, "specasan-bench:", err)
 		}
 	}()
-
-	if perf {
-		s, err := perfScenario(f)
-		if err != nil {
-			return err
-		}
-		return runPerf(perfOut, perfNote, s, stdout)
-	}
 
 	var metrics io.Writer
 	if out.MetricsOut != "" {
@@ -206,9 +187,8 @@ func bench(f *scenario.Flags, figs []int, perf bool, perfOut, perfNote, traceCel
 		return nil
 	}
 	if out.Store != "" {
-		// -fig/-all reproduce the paper's pinned figures and -perf measures
-		// the simulator itself; serving any of them from a cache would
-		// defeat the point.
+		// -fig/-all reproduce the paper's pinned figures; serving them from
+		// a disk cache would defeat the point.
 		fmt.Fprintln(stderr, "specasan-bench: -store only applies to -scenario sweeps; ignored")
 	}
 	// The figure presets share one result hash, so a cell two figures
@@ -253,67 +233,6 @@ func bySuite(specs []*workloads.Spec) [][]*workloads.Spec {
 		out[len(out)-1] = append(out[len(out)-1], sp)
 	}
 	return out
-}
-
-// perfScenario is what -perf measures, uninstrumented: the figure6 scenario
-// under the typed flags. Its hash, recorded in the report, lets the history's
-// regression gate tell comparable entries apart.
-func perfScenario(f *scenario.Flags) (*scenario.Scenario, error) {
-	f.Scenario = scenario.PresetFigure6
-	return f.Resolve()
-}
-
-// runPerf measures the simulator substrate itself — steady-state single-core
-// throughput and serial-vs-parallel wall time of the scenario's sweep — and
-// writes the BENCH_sim.json report (format documented in README.md). A
-// regression against the previous comparable history entry is an error.
-func runPerf(path, note string, s *scenario.Scenario, stdout io.Writer) error {
-	specs, err := s.WorkloadSpecs()
-	if err != nil {
-		return err
-	}
-	mits, err := s.MitigationList()
-	if err != nil {
-		return err
-	}
-	rep, err := harness.MeasurePerf(perfSteps, specs, mits, harness.OptionsFromScenario(s))
-	if err != nil {
-		return err
-	}
-	desc := "event-driven idle skipping + flat memory/tag/cache paths"
-	if !s.Run.SkipIdle {
-		desc = "flat memory/tag/cache paths (idle skipping disabled)"
-	}
-	if note != "" {
-		desc = note
-	}
-	if err := rep.AppendHistory(path, desc); err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(path); err != nil {
-		return err
-	}
-	notice, regressed := rep.RegressionVsPrevious()
-	fmt.Fprintf(stdout, "single core: %.0f ns/cycle, %.3f simulated MIPS, %.4f allocs/committed instr (%s)\n",
-		rep.SingleCore.HostNsPerCycle, rep.SingleCore.SimMIPS,
-		rep.SingleCore.AllocsPerCommitted, rep.SingleCore.Workload)
-	fmt.Fprintf(stdout, "vs baseline: %.2fx (%.0f ns/cycle before)\n",
-		rep.SingleCoreSpeedup, rep.Baseline.HostNsPerCycle)
-	fmt.Fprintf(stdout, "golden:      %.1f simulated MIPS functional (%s)\n",
-		rep.Golden.SimMIPS, rep.Golden.Workload)
-	fmt.Fprintf(stdout, "sweep:       %d cells in %.2fs on %d workers vs %.2fs serial (%.2fx)\n",
-		rep.Sweep.Cells, rep.Sweep.WallSeconds, rep.Sweep.Workers,
-		rep.Sweep.SerialWallSeconds, rep.Sweep.Speedup)
-	fmt.Fprintf(stdout, "sampled:     %d windows x %d insts: %.2fs vs %.2fs full (%.2fx, max IPC delta %.2f%%)\n",
-		rep.SampledSweep.Windows, rep.SampledSweep.WindowInsts,
-		rep.SampledSweep.SampledWallSeconds, rep.SampledSweep.FullWallSeconds,
-		rep.SampledSweep.Speedup, rep.SampledSweep.MaxIPCDeltaPct)
-	fmt.Fprintf(stdout, "report:      %s\n", path)
-	fmt.Fprintln(stdout, notice)
-	if regressed {
-		return fmt.Errorf("-perf regressed against the previous history entry (see %s)", path)
-	}
-	return nil
 }
 
 // sweep runs specs against the scenario's mitigations and warns on stderr

@@ -63,17 +63,18 @@ func TestTranscripts(t *testing.T) {
 	})
 }
 
-// At default flags -perf measures the figure6 preset, whose hash is the
-// scenario_hash every BENCH_sim.json history entry carries.
+// `specasan-bench -scenario figure6` with every other flag at its default
+// resolves to the figure6 preset unchanged: hash 08e5082201dd68c5, the one
+// EXPERIMENTS.md's substrate performance rows quote.
 func TestPerfScenarioHash(t *testing.T) {
 	f := newFlags(io.Discard)
-	f.Parse(nil)
-	s, err := perfScenario(f)
+	f.Parse([]string{"-scenario", scenario.PresetFigure6})
+	s, err := f.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h := s.Hash(); h != "08e5082201dd68c5" {
-		t.Fatalf("-perf scenario hash %s, want 08e5082201dd68c5", h)
+		t.Fatalf("-scenario figure6 hash %s, want 08e5082201dd68c5", h)
 	}
 }
 

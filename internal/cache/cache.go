@@ -1019,10 +1019,5 @@ func (h *Hierarchy) InAnyCache(ptr uint64, now uint64) bool {
 	return h.L2.Contains(la, now)
 }
 
-// LFBOccupancy exposes core's LFB pressure at cycle now.
-func (h *Hierarchy) LFBOccupancy(core int, now uint64) int {
-	return h.LFBs[core].Occupancy(now)
-}
-
 // LineBytes returns the cache line size.
 func (h *Hierarchy) LineBytes() int { return h.lineSz }

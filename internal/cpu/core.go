@@ -797,9 +797,6 @@ func (c *Core) Predictor() *branch.Predictor { return c.pred }
 // substitute pre-trained state).
 func (c *Core) SetPredictor(p *branch.Predictor) { c.pred = p }
 
-// LastCommitCycle returns the cycle of the core's most recent commit.
-func (c *Core) LastCommitCycle() uint64 { return c.lastCommitCycle }
-
 // InjectWedge freezes the commit stage: the core keeps fetching and
 // executing but never commits again. Watchdog tests use it to model a hung
 // pipeline without depending on a real deadlock bug.

@@ -10,8 +10,9 @@ import (
 
 // perfMachine builds the standard perf-measurement machine: 508.namd_r at
 // scale 10 (long enough that warmup reaches steady state), default config,
-// no mitigation. cmd/specasan-bench -perf uses the same recipe, so the
-// microbench here and BENCH_sim.json measure the same hot loop.
+// no mitigation. harness.MeasureSingleCore uses the same recipe, so the
+// microbench here and the repository benchmark's cpu.ns_per_cycle measure
+// the same hot loop.
 func perfMachine(tb testing.TB) *Machine {
 	return kernelMachine(tb, "508.namd_r", 10)
 }
@@ -104,7 +105,8 @@ func TestMachineStepAllocsTraced(t *testing.T) {
 }
 
 // BenchmarkMachineStep measures host ns per simulated cycle in steady state —
-// the single-core throughput number BENCH_sim.json tracks.
+// the single-core throughput number CI gates against
+// testdata/machinestep_ns_ref.txt.
 func BenchmarkMachineStep(b *testing.B) {
 	m := perfMachine(b)
 	for i := 0; i < 2000 && !m.Done(); i++ {

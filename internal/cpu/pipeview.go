@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -196,13 +195,4 @@ func (r *Recorder) Stats() (committed, squashed int, avgDispatchToCommit float64
 		avgDispatchToCommit = float64(sum) / float64(n)
 	}
 	return committed, squashed, avgDispatchToCommit
-}
-
-// SortedBySeq returns records sorted by sequence number (Render keeps
-// dispatch order, which matches seq order per core anyway; this helper is
-// for merged multi-core views).
-func SortedBySeq(recs []*InstRecord) []*InstRecord {
-	out := append([]*InstRecord(nil), recs...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // benchProg builds the perf-recipe workload (508.namd_r at scale 10, the
-// same program cmd/specasan-bench -perf measures), so `go test -bench` here
-// and the BENCH_sim.json golden MIPS number exercise the same hot loop.
+// same program harness.MeasureSingleCore steps), so `go test -bench` here
+// times the functional walk of the detailed core's perf recipe.
 func benchProg(tb testing.TB) *workloads.Spec {
 	tb.Helper()
 	spec := workloads.ByName("508.namd_r")
@@ -21,7 +21,8 @@ func benchProg(tb testing.TB) *workloads.Spec {
 // BenchmarkGoldenRun measures the functional interpreter's full-walk
 // throughput with a cold basic-block cache per walk — exactly how sampled
 // simulation uses it (one fresh interpreter per cell). The reported
-// sim-insts/s metric is the golden MIPS headline (x 1e6).
+// sim-insts/s metric is functional MIPS (x 1e6); CI gates ns/sim-inst
+// against testdata/goldenrun_ns_ref.txt.
 func BenchmarkGoldenRun(b *testing.B) {
 	prog, err := benchProg(b).Build(false, 10)
 	if err != nil {

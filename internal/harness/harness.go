@@ -102,9 +102,9 @@ func (o *Options) Sampling() bool {
 	return o.FastForwardInsts > 0 || o.SampleWindows > 1
 }
 
-// DefaultWarmupCycles is the warmup budget used when WarmupCycles is 0 —
-// both by sampled runs after a transplant and by the -perf steady-state
-// measurement (the knob PR 1-6 hardcoded as perfWarmupSteps).
+// DefaultWarmupCycles is the warmup budget used when WarmupCycles is 0 by
+// sampled runs after a transplant; MeasureSingleCore's callers pass it for
+// the steady-state measurement's warmup.
 const DefaultWarmupCycles = 2000
 
 // warmup resolves the zero-value convention.

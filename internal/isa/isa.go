@@ -374,16 +374,6 @@ func (in *Inst) Classify() Class {
 	}
 }
 
-// IsMemAccess reports whether the instruction reads or writes data memory
-// (tag ops included: they access tag storage through the same path).
-func (in *Inst) IsMemAccess() bool {
-	switch in.Classify() {
-	case ClassLoad, ClassStore, ClassAtomic, ClassTagOp:
-		return true
-	}
-	return in.Op == DC
-}
-
 // IsLoad reports whether the instruction reads data memory.
 func (in *Inst) IsLoad() bool {
 	switch in.Op {

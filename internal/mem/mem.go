@@ -429,11 +429,6 @@ type DRAMConfig struct {
 	TagBurst    uint64 // extra channel occupancy for a tag-storage fetch
 }
 
-// DefaultDRAMConfig mirrors a ~100-cycle memory with modest bandwidth.
-func DefaultDRAMConfig() DRAMConfig {
-	return DRAMConfig{Latency: 100, BurstCycles: 4, TagBurst: 1}
-}
-
 // Controller is the memory-controller timing model. It owns the DRAM channel
 // occupancy and implements the parallel data+tag fetch. It is shared between
 // cores; channel contention is modelled with a next-free timestamp.
@@ -503,9 +498,6 @@ func (c *Controller) Writeback(now uint64) {
 	c.nextFree = start + busy
 	c.Writebacks++
 }
-
-// TagsEnabled reports whether the controller fetches tag storage.
-func (c *Controller) TagsEnabled() bool { return c.tagsOn }
 
 // Latency returns the configured DRAM access latency in cycles.
 func (c *Controller) Latency() uint64 { return c.cfg.Latency }

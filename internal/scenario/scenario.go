@@ -9,9 +9,9 @@
 // base, a scenario file overrides the fields it names (via "extends"), and
 // CLI flags override individual values on top. Whatever the layering, the
 // effective scenario hashes to a single stable identity that is stamped into
-// every output (sweep metrics JSONL, BENCH_sim.json perf history, chaos
-// campaign headers), so any recorded result is reproducible from its
-// scenario alone.
+// every output (sweep metrics JSONL, chaos campaign headers, each CLI's
+// stderr header), so any recorded result is reproducible from its scenario
+// alone.
 package scenario
 
 import (
@@ -78,9 +78,8 @@ type RunOptions struct {
 	// required exactly when SampleWindows > 1.
 	SampleWindowInsts uint64 `json:"sample_window_insts,omitempty"`
 	// WarmupCycles is the micro-architectural warmup budget: detailed cycles
-	// executed after a state transplant (and before the -perf steady-state
-	// measurement) whose counters are excluded from IPC estimates. 0 means
-	// the harness default (2000).
+	// executed after a state transplant whose counters are excluded from IPC
+	// estimates. 0 means the harness default (2000).
 	WarmupCycles uint64 `json:"warmup_cycles,omitempty"`
 }
 

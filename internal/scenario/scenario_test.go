@@ -12,8 +12,14 @@ import (
 )
 
 // Every preset must validate and hash deterministically, and repeated
-// Preset calls must return independent copies.
+// Preset calls must return independent copies. The figure6 preset's hash is
+// pinned: EXPERIMENTS.md's substrate performance trajectory quotes it for
+// the rows measured under it, and it is the only pin on the preset's run
+// section (figure6-quick.json overrides that section).
 func TestPresetsValidateAndHashStable(t *testing.T) {
+	if s, _ := Preset(PresetFigure6); s.Hash() != "08e5082201dd68c5" {
+		t.Errorf("figure6 preset hash %s, want 08e5082201dd68c5", s.Hash())
+	}
 	for _, name := range PresetNames() {
 		s, ok := Preset(name)
 		if !ok {

@@ -257,6 +257,15 @@ func readEntry(f *os.File, k Key) ([]byte, error) {
 	if h.Len < 0 {
 		return nil, fmt.Errorf("negative payload length %d", h.Len)
 	}
+	// The length comes from the entry itself: check it against the file
+	// before allocating it.
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("stat: %v", err)
+	}
+	if left := fi.Size() - int64(len(line)); h.Len > left {
+		return nil, fmt.Errorf("payload truncated: header declares %d bytes, %d follow", h.Len, left)
+	}
 	payload := make([]byte, h.Len)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("payload truncated: %v", err)

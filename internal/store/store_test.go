@@ -121,6 +121,21 @@ func TestTruncatedEntryQuarantinedAndMissed(t *testing.T) {
 	wantCorruptMiss(t, s, k)
 }
 
+// A header may declare any length; the reader must refuse one the file
+// cannot hold before allocating it.
+func TestOversizedLengthQuarantinedAndMissed(t *testing.T) {
+	s := mustOpen(t)
+	payload := []byte(`{"cycles":12345}`)
+	if err := s.Put(k, payload); err != nil {
+		t.Fatal(err)
+	}
+	corrupt(t, s, k, func(b []byte) []byte {
+		return bytes.Replace(b, []byte(fmt.Sprintf(`"len":%d,`, len(payload))),
+			[]byte(`"len":4611686018427387904,`), 1)
+	})
+	wantCorruptMiss(t, s, k)
+}
+
 func TestBitFlippedPayloadQuarantinedAndMissed(t *testing.T) {
 	s := mustOpen(t)
 	if err := s.Put(k, []byte(`{"cycles":12345}`)); err != nil {
