@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -124,20 +126,46 @@ func (DiskCellStore) key(resultHash, bench, mitigation string) store.Key {
 	return store.Key{Space: resultHash, Name: scenario.CellKey(bench, mitigation)}
 }
 
-// GetCell fetches and validates a cached cell. Beyond the store's checksum,
-// the embedded identity must match the requested cell — an entry filed under
-// the wrong key (or a key collision, however unlikely) reads as a miss, not
-// as someone else's result.
+// GetCell fetches and validates a cached cell: GetCellBytes, decoded.
 func (d DiskCellStore) GetCell(resultHash, bench, mitigation string) (*CellResult, bool) {
-	var c CellResult
-	ok, err := d.S.GetJSON(d.key(resultHash, bench, mitigation), &c)
-	if err != nil || !ok {
+	payload, ok := d.GetCellBytes(resultHash, bench, mitigation)
+	if !ok {
 		return nil, false
 	}
-	if c.Schema != CellSchema || c.Bench != bench || c.Mitigation != mitigation {
+	var c CellResult
+	if err := json.Unmarshal(payload, &c); err != nil {
 		return nil, false
 	}
 	return &c, true
+}
+
+// GetCellBytes returns a cached cell's encoded CellResult, the bytes PutCell
+// stored and the store's checksum verified, without decoding them into a
+// CellResult. The payload must be valid JSON (GetJSON quarantines one that
+// is not), and it must name the requested cell: it must begin with
+// cellPrefix. An entry from another schema generation, or one filed under
+// the wrong key (or a key collision, however unlikely), reads as a miss,
+// not as someone else's result.
+func (d DiskCellStore) GetCellBytes(resultHash, bench, mitigation string) ([]byte, bool) {
+	var payload json.RawMessage
+	ok, err := d.S.GetJSON(d.key(resultHash, bench, mitigation), &payload)
+	if err != nil || !ok || !bytes.HasPrefix(payload, cellPrefix(bench, mitigation)) {
+		return nil, false
+	}
+	return payload, true
+}
+
+// cellPrefix is how json.Marshal begins every CellResult of the cell: the
+// struct's first three fields, under the same tags, in the same order.
+func cellPrefix(bench, mitigation string) []byte {
+	// Marshalling three strings cannot fail.
+	b, _ := json.Marshal(struct {
+		Schema     string `json:"schema"`
+		Bench      string `json:"bench"`
+		Mitigation string `json:"mitigation"`
+	}{CellSchema, bench, mitigation})
+	b[len(b)-1] = ','
+	return b
 }
 
 // PutCell persists a cell result; errors (read-only store, full disk) are

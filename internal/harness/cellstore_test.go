@@ -312,3 +312,65 @@ func TestRunCellRecoversPanics(t *testing.T) {
 		t.Fatalf("panic error missing stack trace: %v", err)
 	}
 }
+
+// GetCellBytes identifies an entry by cellPrefix, which must stay exactly
+// how json.Marshal begins a CellResult; it serves a matching entry's stored
+// bytes and reads any other entry as a miss.
+func TestCellEntryIdentityByPrefix(t *testing.T) {
+	cs, _ := testStore(t)
+	c := &CellResult{Schema: CellSchema, Bench: "511.povray_r", Mitigation: "SpecASan+CFI",
+		Cycles: 7, Counters: map[string]uint64{"b": 2, "a": 1}}
+	want := `{"schema":"specasan-cell/v1","bench":"511.povray_r","mitigation":"SpecASan+CFI",`
+	if got := string(cellPrefix(c.Bench, c.Mitigation)); got != want {
+		t.Fatalf("cellPrefix = %s, want %s", got, want)
+	}
+	stored, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(stored, []byte(want)) {
+		t.Fatalf("encoded CellResult %s does not begin with its prefix", stored)
+	}
+
+	const hash = "0123456789abcdef"
+	cs.PutCell(hash, c)
+	got, ok := cs.GetCellBytes(hash, c.Bench, c.Mitigation)
+	if !ok || !bytes.Equal(got, stored) {
+		t.Fatalf("GetCellBytes = %q, %v; want the stored bytes", got, ok)
+	}
+	if dec, ok := cs.GetCell(hash, c.Bench, c.Mitigation); !ok || dec.Cycles != 7 || dec.Counters["b"] != 2 {
+		t.Fatalf("GetCell = %+v, %v", dec, ok)
+	}
+
+	// Entries that pass the checksum but are not this cell's result.
+	for name, payload := range map[string]*CellResult{
+		"another cell's result": {Schema: CellSchema, Bench: "505.mcf_r", Mitigation: c.Mitigation},
+		"another schema":        {Schema: "specasan-cell/v0", Bench: c.Bench, Mitigation: c.Mitigation},
+	} {
+		if err := cs.S.PutJSON(cs.key(hash, c.Bench, c.Mitigation), payload); err != nil {
+			t.Fatal(err)
+		}
+		if b, ok := cs.GetCellBytes(hash, c.Bench, c.Mitigation); ok {
+			t.Errorf("%s served as a hit: %s", name, b)
+		}
+		if _, ok := cs.GetCell(hash, c.Bench, c.Mitigation); ok {
+			t.Errorf("%s decoded as a hit", name)
+		}
+	}
+
+	// An entry that passes the checksum and begins with the cell's prefix,
+	// but whose body is not JSON, is never served: it is quarantined and
+	// reads as a miss.
+	if err := cs.S.Put(cs.key(hash, c.Bench, c.Mitigation), []byte(want+`"cycles":7,`)); err != nil {
+		t.Fatal(err)
+	}
+	if b, ok := cs.GetCellBytes(hash, c.Bench, c.Mitigation); ok {
+		t.Errorf("broken body served as a hit: %s", b)
+	}
+	if q := cs.S.Stats().Quarantined; q != 1 {
+		t.Errorf("quarantined %d entries, want the broken one", q)
+	}
+	if _, ok := cs.GetCell(hash, c.Bench, c.Mitigation); ok {
+		t.Error("quarantined entry still decodes as a hit")
+	}
+}

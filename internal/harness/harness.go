@@ -102,6 +102,21 @@ func (o *Options) Sampling() bool {
 	return o.FastForwardInsts > 0 || o.SampleWindows > 1
 }
 
+// storeKeyed reports whether RunCell may use o.Store at all: a store and a
+// result hash are set, and the run is not instrumented (a cached result
+// cannot replay an event stream).
+func (o *Options) storeKeyed() bool {
+	return o.Store != nil && o.ResultHash != "" && o.Metrics == nil && o.Attach == nil
+}
+
+// Cacheable reports whether RunCell looks spec's cells up in o.Store and
+// persists them there. Source-override specs never are: their program text
+// lives outside the scenario, so (ResultHash, name) does not pin their
+// identity.
+func (o *Options) Cacheable(spec *workloads.Spec) bool {
+	return o.storeKeyed() && spec.Source == ""
+}
+
 // DefaultWarmupCycles is the warmup budget used when WarmupCycles is 0 by
 // sampled runs after a transplant; MeasureSingleCore's callers pass it for
 // the steady-state measurement's warmup.
@@ -306,12 +321,7 @@ func (s *Sweep) FailedCells() []string {
 //   - A cold success is written back to the store; write failures (e.g. a
 //     store in read-only mode) are deliberately non-fatal.
 func RunCell(spec *workloads.Spec, mit core.Mitigation, opt Options) (r *PerfResult, cached bool, err error) {
-	// Source-override specs are excluded: their program text lives outside
-	// the scenario, so (ResultHash, name) does not pin their identity. That
-	// exclusion used to be silent; it now surfaces as a Note on the result.
-	wantCache := opt.Store != nil && opt.ResultHash != "" &&
-		opt.Metrics == nil && opt.Attach == nil
-	cacheable := wantCache && spec.Source == ""
+	cacheable := opt.Cacheable(spec)
 	if cacheable {
 		if cr, ok := opt.Store.GetCell(opt.ResultHash, spec.Name, mit.String()); ok {
 			if r, err := cr.PerfResult(); err == nil {
@@ -344,7 +354,9 @@ func RunCell(spec *workloads.Spec, mit core.Mitigation, opt Options) (r *PerfRes
 	}
 	if cacheable {
 		opt.Store.PutCell(opt.ResultHash, CellResultOf(r))
-	} else if wantCache && spec.Source != "" {
+	} else if opt.storeKeyed() {
+		// A source override: the exclusion surfaces as a Note on the result
+		// instead of passing silently.
 		r.Note = "uncached: source override"
 		opt.logf("  %-18s %-12s uncached: source override", spec.Name, mit)
 	}

@@ -6,9 +6,11 @@
 // The service is built around three robustness rules:
 //
 //   - Admission control, not queueing collapse: a job is admitted only if
-//     every one of its cells fits in the queue budget; otherwise the request
-//     is shed immediately with 429 and a Retry-After estimate. An admitted
-//     job never waits behind an unbounded backlog.
+//     every one of its cells that must simulate fits in the queue budget;
+//     otherwise the request is shed immediately with 429 and a Retry-After
+//     estimate. An admitted job never waits behind an unbounded backlog, and
+//     a stored cell is answered at admission, so a cache hit never waits at
+//     all.
 //   - Every failure is a cell-sized failure: panics, watchdog verdicts,
 //     timeouts, and deadline expiries are captured per cell. One poisoned
 //     cell cannot take down the job, let alone the daemon.
@@ -18,8 +20,9 @@
 //
 // Determinism is what makes the whole design sound: a cell's result is a
 // pure function of its scenario's result-context hash and its coordinates,
-// so a stored result is interchangeable with a fresh simulation, and cold
-// and cached responses are byte-identical.
+// so a stored result is interchangeable with a fresh simulation. A perf
+// cell's wire form is its stored encoding, so cold and cached responses are
+// byte-identical by construction.
 package serve
 
 import (
@@ -52,6 +55,17 @@ const (
 	StatsSchema  = "specasan-serve/stats/v1"
 )
 
+// maxJobCells bounds how many cells one job may expand to, unless the queue
+// budget is larger. A stored cell costs no budget, so the budget alone no
+// longer bounds a job, and a document's lists could otherwise expand to
+// billions of cells before admission saw them.
+const maxJobCells = 4096
+
+// maxFinishedJobs bounds the job table: the most recent finished jobs stay
+// pollable, and older ones are forgotten (their ids answer 404). Unfinished
+// jobs are never evicted.
+const maxFinishedJobs = 1024
+
 // Config shapes a Server.
 type Config struct {
 	// StoreDir is the result-store root; empty runs without a store (every
@@ -62,8 +76,10 @@ type Config struct {
 	// StoreMaxBytes prunes the store to at most this many entry bytes when
 	// the server opens it, oldest entries first (0 = unbounded).
 	StoreMaxBytes int64
-	// QueueDepth bounds the number of cells admitted and not yet finished.
-	// A job whose cells do not all fit is shed with 429. Default 256.
+	// QueueDepth bounds the number of admitted cells that must simulate and
+	// have not finished; a stored cell is answered at admission and takes
+	// none. A job whose such cells do not all fit is shed with 429. Default
+	// 256.
 	QueueDepth int
 	// Workers is the cell worker pool width (0 = GOMAXPROCS).
 	Workers int
@@ -104,14 +120,17 @@ func (c *Config) fillDefaults() {
 // produce byte-identical result documents whether cells simulated or came
 // from the store (cache information travels in headers and /stats).
 type CellOutcome struct {
-	Bench      string              `json:"bench"`
-	Mitigation string              `json:"mitigation"`
-	Kinds      string              `json:"kinds,omitempty"`
-	Seed       uint64              `json:"seed,omitempty"`
-	Error      string              `json:"error,omitempty"`
-	Perf       *harness.CellResult `json:"perf,omitempty"`
-	Chaos      *chaos.CellRecord   `json:"chaos,omitempty"`
-	cached     bool                // not serialized; aggregated into headers/stats
+	Bench      string `json:"bench"`
+	Mitigation string `json:"mitigation"`
+	Kinds      string `json:"kinds,omitempty"`
+	Seed       uint64 `json:"seed,omitempty"`
+	Error      string `json:"error,omitempty"`
+	// Perf is the cell's encoded harness.CellResult: a stored cell's
+	// verified store payload, or a cold cell's json.Marshal(CellResultOf(r)),
+	// the bytes PutCell stores.
+	Perf   json.RawMessage   `json:"perf,omitempty"`
+	Chaos  *chaos.CellRecord `json:"chaos,omitempty"`
+	cached bool              // not serialized; aggregated into headers/stats
 }
 
 // ResultDoc is a completed job's deterministic result document.
@@ -126,14 +145,17 @@ type ResultDoc struct {
 
 // job tracks one admitted scenario through its cells.
 type job struct {
-	id        string
-	scn       *scenario.Scenario
-	kind      string
-	deadline  time.Time
-	remaining int
-	cells     []CellOutcome
-	run       []func() CellOutcome // one runner per cell, index-aligned
-	done      chan struct{}
+	id       string
+	scn      *scenario.Scenario
+	kind     string
+	deadline time.Time
+	finished int // cells with a final outcome
+	cells    []CellOutcome
+	// run is index-aligned with cells: the runner of each cell that must
+	// simulate, nil for a cell answered at admission. Dropped once the job
+	// is done.
+	run  []func() CellOutcome
+	done chan struct{}
 }
 
 type counters struct {
@@ -153,12 +175,13 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*job
+	doneIDs  []string // finished jobs still in jobs, oldest first
 	seq      int
-	pending  int // admitted, unfinished cells
+	pending  int // admitted cells that must simulate and have not finished
 	draining bool
 	n        counters
 	reg      *obs.Registry
-	latency  *stats.Histogram // cell wall latency, ms
+	latency  *stats.Histogram // wall latency of the cells workers ran, ms
 
 	queue chan task
 	wg    sync.WaitGroup
@@ -211,6 +234,10 @@ func (s *Server) Store() *store.Store { return s.store }
 // Submit validates and admits a scenario document. It returns the job, or an
 // *HTTPError carrying the status the HTTP layer should answer with (429 with
 // retry hint, 400, 503). label names the document in errors.
+//
+// Stored cells are answered here, from the store's verified bytes; only the
+// cells that must simulate count against the queue budget and go to the
+// workers. A job whose every cell is stored is done before Submit returns.
 func (s *Server) Submit(doc []byte, label string) (*job, *HTTPError) {
 	scn, err := scenario.Parse(doc, label, "submitted")
 	if err != nil {
@@ -220,17 +247,23 @@ func (s *Server) Submit(doc []byte, label string) (*job, *HTTPError) {
 	if err != nil {
 		return nil, &HTTPError{Status: http.StatusBadRequest, Msg: err.Error()}
 	}
+	var misses []int
+	for i, run := range j.run {
+		if run != nil {
+			misses = append(misses, i)
+		}
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return nil, &HTTPError{Status: http.StatusServiceUnavailable, Msg: "server is draining"}
 	}
-	if s.pending+len(j.cells) > s.cfg.QueueDepth {
+	if s.pending+len(misses) > s.cfg.QueueDepth {
 		s.n.JobsRejected++
 		return nil, &HTTPError{
 			Status:     http.StatusTooManyRequests,
-			Msg:        fmt.Sprintf("queue full: %d cells pending, job needs %d, budget %d", s.pending, len(j.cells), s.cfg.QueueDepth),
+			Msg:        fmt.Sprintf("queue full: %d cells pending, job needs %d, budget %d", s.pending, len(misses), s.cfg.QueueDepth),
 			RetryAfter: s.retryAfterLocked(),
 		}
 	}
@@ -238,17 +271,38 @@ func (s *Server) Submit(doc []byte, label string) (*job, *HTTPError) {
 	j.id = fmt.Sprintf("job-%d", s.seq)
 	j.deadline = time.Now().Add(s.cfg.JobTimeout)
 	s.jobs[j.id] = j
-	s.pending += len(j.cells)
+	s.pending += len(misses)
 	s.n.JobsAccepted++
-	for i := range j.cells {
+	j.finished = len(j.cells) - len(misses)
+	s.n.CellsCached += uint64(j.finished)
+	if j.finished == len(j.cells) {
+		s.completeLocked(j)
+	}
+	for _, i := range misses {
 		s.queue <- task{j: j, idx: i} // admission guarantees capacity
 	}
-	s.logf("job %s: scenario %q (%s), %d cells admitted", j.id, j.scn.Name, j.kind, len(j.cells))
+	s.logf("job %s: scenario %q (%s), %d cells admitted, %d from the store", j.id, j.scn.Name, j.kind, len(j.cells), j.finished)
 	return j, nil
 }
 
+// completeLocked marks j done once its last cell is final: its runners are
+// dropped, and it joins the finished-job window, which forgets the oldest
+// finished job beyond maxFinishedJobs.
+func (s *Server) completeLocked(j *job) {
+	j.run = nil
+	s.n.JobsCompleted++
+	close(j.done)
+	s.doneIDs = append(s.doneIDs, j.id)
+	if len(s.doneIDs) > maxFinishedJobs {
+		delete(s.jobs, s.doneIDs[0])
+		s.doneIDs = s.doneIDs[1:]
+	}
+}
+
 // retryAfterLocked estimates seconds until enough of the backlog clears to
-// retry, from the measured mean cell latency (1s floor when unknown).
+// retry, from the measured mean latency of the cells workers ran (1s floor
+// when unknown): pending counts only such cells, so hits answered at
+// admission must stay out of the mean too.
 func (s *Server) retryAfterLocked() int {
 	meanMS := s.latency.MeanValue()
 	if meanMS <= 0 {
@@ -261,8 +315,12 @@ func (s *Server) retryAfterLocked() int {
 	return secs
 }
 
-// buildJob expands the scenario into cells and binds each cell's runner.
+// buildJob expands the scenario into cells, fills in each stored perf cell
+// from the store, and binds a runner to every other cell.
 func (s *Server) buildJob(scn *scenario.Scenario) (*job, error) {
+	if limit := max(s.cfg.QueueDepth, maxJobCells); cellCount(scn, limit) > limit {
+		return nil, fmt.Errorf("scenario %q expands to more than %d cells, the most one job may hold", scn.Name, limit)
+	}
 	j := &job{scn: scn, done: make(chan struct{})}
 	if scn.Chaos != nil {
 		j.kind = "chaos"
@@ -281,26 +339,24 @@ func (s *Server) buildJob(scn *scenario.Scenario) (*job, error) {
 		j.cells = make([]CellOutcome, len(cells))
 		j.run = make([]func() CellOutcome, len(cells))
 		for i, c := range cells {
-			i, c := i, c
-			j.cells[i] = CellOutcome{
+			cell := CellOutcome{
 				Bench: c.Spec.Name, Mitigation: c.Mit.String(),
 				Kinds: chaos.KindSetName(c.Cfg.Kinds), Seed: c.Cfg.Seed,
 			}
+			j.cells[i] = cell
 			j.run[i] = func() CellOutcome {
-				out := j.cells[i]
-				before := uint64(0)
-				if s.store != nil {
-					before = s.store.Stats().Hits
+				out := cell
+				o, flag := opt, &hitFlag{CampaignStore: opt.Store}
+				if opt.Store != nil {
+					o.Store = flag
 				}
-				reps, err := chaos.RunCampaignOpts([]chaos.CampaignCell{c}, opt)
+				reps, err := chaos.RunCampaignOpts([]chaos.CampaignCell{c}, o)
 				if err != nil {
 					out.Error = err.Error()
 					return out
 				}
 				out.Chaos = chaos.CellRecordOf(reps[0])
-				if s.store != nil && s.store.Stats().Hits > before {
-					out.cached = true
-				}
+				out.cached = flag.hit
 				return out
 			}
 		}
@@ -320,30 +376,86 @@ func (s *Server) buildJob(scn *scenario.Scenario) (*job, error) {
 		return nil, fmt.Errorf("scenario %q expands to no cells", scn.Name)
 	}
 	opt := harness.OptionsFromScenario(scn)
+	var disk harness.DiskCellStore
 	if s.store != nil {
-		opt.Store = harness.DiskCellStore{S: s.store}
+		disk = harness.DiskCellStore{S: s.store}
+		opt.Store = putOnly{disk}
 	}
-	j.cells = make([]CellOutcome, 0, len(specs)*len(mits))
+	n := len(specs) * len(mits)
+	j.cells = make([]CellOutcome, 0, n)
+	j.run = make([]func() CellOutcome, 0, n)
 	for _, spec := range specs {
 		for _, mit := range mits {
-			spec, mit := spec, mit
-			j.cells = append(j.cells, CellOutcome{Bench: spec.Name, Mitigation: mit.String()})
-			idx := len(j.cells) - 1
-			j.run = append(j.run, func() CellOutcome {
-				out := j.cells[idx]
-				r, cached, err := harness.RunCell(spec, mit, opt)
-				if err != nil {
-					out.Error = err.Error()
+			cell := CellOutcome{Bench: spec.Name, Mitigation: mit.String()}
+			// The cell's one store lookup, under RunCell's rule.
+			if opt.Cacheable(spec) {
+				cell.Perf, cell.cached = disk.GetCellBytes(opt.ResultHash, spec.Name, cell.Mitigation)
+			}
+			var run func() CellOutcome
+			if !cell.cached {
+				run = func() CellOutcome {
+					out := cell
+					r, _, err := harness.RunCell(spec, mit, opt)
+					if err == nil {
+						out.Perf, err = json.Marshal(harness.CellResultOf(r))
+					}
+					if err != nil {
+						out.Error = err.Error()
+					}
 					return out
 				}
-				out.Perf = harness.CellResultOf(r)
-				out.cached = cached
-				return out
-			})
+			}
+			j.cells = append(j.cells, cell)
+			j.run = append(j.run, run)
 		}
 	}
 	return j, nil
 }
+
+// cellCount is how many cells scn expands to, counted without expanding
+// them; any count above limit reads as limit+1.
+func cellCount(scn *scenario.Scenario, limit int) int {
+	factors := []int{len(scn.Workloads), len(scn.Mitigations)}
+	if c := scn.Chaos; c != nil {
+		kinds := len(c.Kinds)
+		if kinds == 0 {
+			kinds = len(chaos.AllKinds())
+		}
+		if kinds > 1 {
+			kinds++ // CampaignCells adds every kind combined
+		}
+		factors = append(factors, kinds, c.Seeds)
+	}
+	n := 1
+	for _, f := range factors {
+		if f > 0 && n > limit/f {
+			return limit + 1
+		}
+		n *= f
+	}
+	return n
+}
+
+// hitFlag is one chaos cell's store: it notes whether the cell's own lookup
+// hit, which the store-wide counters cannot tell while other cells and
+// admissions look cells up at the same time.
+type hitFlag struct {
+	chaos.CampaignStore
+	hit bool
+}
+
+func (h *hitFlag) GetCell(resultHash, cellKey string) (*chaos.CellRecord, bool) {
+	rec, ok := h.CampaignStore.GetCell(resultHash, cellKey)
+	h.hit = ok
+	return rec, ok
+}
+
+// putOnly is the store a worker's RunCell sees. Admission has already looked
+// the cell up, so lookups here never answer (and never touch the store's
+// counters); cold results still persist.
+type putOnly struct{ harness.DiskCellStore }
+
+func (putOnly) GetCell(string, string, string) (*harness.CellResult, bool) { return nil, false }
 
 // worker drains the cell queue until it closes.
 func (s *Server) worker() {
@@ -392,31 +504,30 @@ func (s *Server) runTask(t task) {
 		s.n.CellsRun++
 	}
 	s.pending--
-	j.remaining++
-	finished := j.remaining == len(j.cells)
-	if finished {
-		s.n.JobsCompleted++
+	j.finished++
+	if j.finished == len(j.cells) {
+		s.completeLocked(j)
 	}
 	s.mu.Unlock()
-	if finished {
-		close(j.done)
-	}
 }
 
 // runWithTimeout runs cell idx of j under the per-cell wall deadline. The
 // runner executes on its own goroutine with a panic fence; on timeout the
-// worker abandons it (the simulation's cycle budget still bounds it).
+// worker abandons it (the simulation's cycle budget still bounds it). The
+// goroutine touches neither j.cells nor j.run, which the worker may rewrite
+// or drop once it has given up on the cell.
 func (s *Server) runWithTimeout(j *job, idx int) CellOutcome {
+	ident, run := j.cells[idx], j.run[idx]
 	ch := make(chan CellOutcome, 1)
 	go func() {
 		defer func() {
 			if p := recover(); p != nil {
-				out := j.cells[idx]
+				out := ident
 				out.Error = fmt.Sprintf("panic: %v\n%s", p, debug.Stack())
 				ch <- out
 			}
 		}()
-		ch <- j.run[idx]()
+		ch <- run()
 	}()
 	timer := time.NewTimer(s.cfg.CellTimeout)
 	defer timer.Stop()
@@ -424,7 +535,7 @@ func (s *Server) runWithTimeout(j *job, idx int) CellOutcome {
 	case out := <-ch:
 		return out
 	case <-timer.C:
-		out := j.cells[idx]
+		out := ident
 		out.Error = fmt.Sprintf("cell wall deadline (%s) exceeded; abandoned (cycle budget still bounds the stray run)", s.cfg.CellTimeout)
 		return out
 	}
@@ -442,19 +553,14 @@ func (j *job) result() *ResultDoc {
 	}
 }
 
-// cacheSummary counts cached/failed/uncacheable cells (for headers and job
-// status). uncached counts cells that simulated but could not be cached —
-// their CellResult carries a Note explaining why (e.g. a source override).
-func (j *job) cacheSummary() (cached, failed, uncached int) {
+// cacheSummary counts cached and failed cells (for headers and job status).
+func (j *job) cacheSummary() (cached, failed int) {
 	for _, c := range j.cells {
 		if c.cached {
 			cached++
 		}
 		if c.Error != "" {
 			failed++
-		}
-		if c.Perf != nil && c.Perf.Note != "" {
-			uncached++
 		}
 	}
 	return
@@ -498,9 +604,10 @@ func (s *Server) Handler() http.Handler {
 
 // handleSweep admits a scenario document. With ?wait=1 the response is the
 // finished job's deterministic result document (byte-identical across
-// resubmissions; job id and cache counts travel in X-Job-Id / X-Cache-Hits /
-// X-Uncached-Cells headers). Without it, 202 with the job id for later
-// polling.
+// resubmissions; job id and cache counts travel in X-Job-Id / X-Cache-Hits
+// headers). Without it, 202 with the job id for later
+// polling and the job's state: "done" once every cell is final (a job the
+// store answers whole is done at admission), else "queued".
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, &HTTPError{Status: http.StatusMethodNotAllowed, Msg: "POST a scenario document"})
@@ -517,8 +624,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("wait") == "" {
+		state := "queued"
+		select {
+		case <-j.done:
+			state = "done"
+		default:
+		}
 		writeJSON(w, http.StatusAccepted, map[string]interface{}{
-			"id": j.id, "cells": len(j.cells), "state": "queued",
+			"id": j.id, "cells": len(j.cells), "state": state,
 		})
 		return
 	}
@@ -528,17 +641,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// Client went away; the job keeps running and stays pollable.
 		return
 	}
-	cached, failed, uncached := j.cacheSummary()
+	cached, failed := j.cacheSummary()
 	w.Header().Set("X-Job-Id", j.id)
 	w.Header().Set("X-Cache-Hits", fmt.Sprintf("%d/%d", cached, len(j.cells)))
 	status := http.StatusOK
 	if failed > 0 {
 		w.Header().Set("X-Failed-Cells", fmt.Sprintf("%d", failed))
-	}
-	if uncached > 0 {
-		// Cells that simulated but could not be cached (each carries a
-		// per-cell note in its result, e.g. "uncached: source override").
-		w.Header().Set("X-Uncached-Cells", fmt.Sprintf("%d", uncached))
 	}
 	writeJSON(w, status, j.result())
 }
@@ -550,7 +658,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs[id]
 	var remaining int
 	if ok {
-		remaining = len(j.cells) - j.remaining
+		remaining = len(j.cells) - j.finished
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -559,7 +667,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	select {
 	case <-j.done:
-		cached, failed, _ := j.cacheSummary()
+		cached, failed := j.cacheSummary()
 		writeJSON(w, http.StatusOK, map[string]interface{}{
 			"id": j.id, "state": "done",
 			"cached_cells": cached, "failed_cells": failed,

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"specasan/internal/harness"
 )
 
 // quickDoc is a small two-cell perf scenario the tests submit: one workload,
@@ -84,7 +86,8 @@ func TestSweepColdThenCachedByteIdentical(t *testing.T) {
 		t.Fatalf("unexpected result doc: %+v", doc)
 	}
 	for _, c := range doc.Cells {
-		if c.Error != "" || c.Perf == nil || c.Perf.Cycles == 0 {
+		var perf harness.CellResult
+		if c.Error != "" || json.Unmarshal(c.Perf, &perf) != nil || perf.Cycles == 0 {
 			t.Fatalf("bad cell: %+v", c)
 		}
 	}
