@@ -18,6 +18,7 @@ import (
 	"specasan/internal/harness"
 	"specasan/internal/hwcost"
 	"specasan/internal/isa"
+	"specasan/internal/scenario"
 	"specasan/internal/workloads"
 )
 
@@ -85,6 +86,20 @@ func BenchmarkTable1SecurityMatrix(b *testing.B) {
 	}
 }
 
+// presetMitigations returns a figure preset's mitigation columns.
+func presetMitigations(b *testing.B, name string) []core.Mitigation {
+	b.Helper()
+	s, ok := scenario.Preset(name)
+	if !ok {
+		b.Fatalf("no preset %q", name)
+	}
+	mits, err := s.MitigationList()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return mits
+}
+
 // figureGeomean sweeps the given kernels/mitigations at bench scale and
 // reports each mitigation's geomean normalized execution time.
 func figureGeomean(b *testing.B, specs []*workloads.Spec, mits []core.Mitigation) {
@@ -111,7 +126,7 @@ func BenchmarkFigure6SPEC(b *testing.B) {
 		workloads.ByName("500.perlbench_r"), workloads.ByName("505.mcf_r"),
 		workloads.ByName("508.namd_r"), workloads.ByName("523.xalancbmk_r"),
 	}
-	figureGeomean(b, specs, harness.Figure6Mitigations())
+	figureGeomean(b, specs, presetMitigations(b, scenario.PresetFigure6))
 }
 
 // BenchmarkFigure7PARSEC reproduces Figure 7: PARSEC (4 cores) normalized
@@ -120,7 +135,7 @@ func BenchmarkFigure7PARSEC(b *testing.B) {
 	specs := []*workloads.Spec{
 		workloads.ByName("blackscholes"), workloads.ByName("canneal"),
 	}
-	figureGeomean(b, specs, harness.Figure6Mitigations())
+	figureGeomean(b, specs, presetMitigations(b, scenario.PresetFigure7))
 }
 
 // BenchmarkFigure8Restricted reproduces Figure 8: the percentage of
@@ -131,7 +146,7 @@ func BenchmarkFigure8Restricted(b *testing.B) {
 		workloads.ByName("541.leela_r"),
 	}
 	for i := 0; i < b.N; i++ {
-		sw, err := harness.RunSweep(specs, harness.Figure8Mitigations(), benchOpts())
+		sw, err := harness.RunSweep(specs, presetMitigations(b, scenario.PresetFigure8), benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -148,7 +163,7 @@ func BenchmarkFigure9CFI(b *testing.B) {
 		workloads.ByName("500.perlbench_r"), workloads.ByName("525.x264_r"),
 		workloads.ByName("511.povray_r"),
 	}
-	figureGeomean(b, specs, harness.Figure9Mitigations())
+	figureGeomean(b, specs, presetMitigations(b, scenario.PresetFigure9))
 }
 
 // BenchmarkTable3HardwareCost evaluates the hardware-cost model and reports

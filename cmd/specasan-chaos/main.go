@@ -129,7 +129,7 @@ func campaign(f *scenario.Flags, traceIdx int, stdout, stderr io.Writer) (clean 
 	if s.Chaos.VerdictSeeds > 0 {
 		for i := 0; i < s.Chaos.VerdictSeeds; i++ {
 			seed := s.Chaos.Seed0 + uint64(i)
-			drifts, err := chaos.CheckVerdictInvarianceParallel(seed, s.Chaos.Rate,
+			drifts, err := chaos.CheckVerdictInvariance(seed, s.Chaos.Rate,
 				attacks.TableMitigations(), s.Run.Workers)
 			if err != nil {
 				return false, fmt.Errorf("verdict sweep: %v", err)

@@ -103,15 +103,21 @@ func sim(f *scenario.Flags, stdout, stderr io.Writer, trace, traceText bool, pip
 
 	// The result store serves plain named-kernel runs. File workloads are
 	// not content-addressed (the scenario hash does not cover the file's
-	// bytes), and instrumented runs must actually simulate — both fall
-	// through to the ordinary path, uncached.
+	// bytes), and instrumented runs must actually simulate — both run
+	// uncached.
+	stored := false
 	if out.Store != "" {
 		instrumented := trace || traceText || pipeview > 0 || out.MetricsOut != ""
 		if instrumented || strings.HasPrefix(s.Workloads[0], scenario.FileWorkloadPrefix) {
 			fmt.Fprintln(stderr, "specasan-sim: -store ignored (file workloads and instrumented runs always simulate, uncached)")
 		} else {
-			return runStored(s, spec, mit, out, stdout, stderr)
+			stored = true
 		}
+	}
+	// Cycle-exact instrumentation of a sampled run is incompatible by
+	// definition: most cycles are never simulated.
+	if s.Run.Sampling() && (trace || traceText || pipeview > 0) {
+		return errors.New("-trace/-trace-text/-pipeview need a fully detailed run; drop -fast-forward/-sample-windows")
 	}
 
 	stopProf, err := prof.Start(out.CPUProfile, out.MemProfile)
@@ -135,15 +141,11 @@ func sim(f *scenario.Flags, stdout, stderr io.Writer, trace, traceText bool, pip
 		}()
 	}
 
-	// Sampling changes what "cycles" means (a detailed-window extrapolation),
-	// so it routes through the harness instead of the plain machine loop.
-	// Cycle-exact instrumentation of the whole run is incompatible by
-	// definition: most cycles are never simulated.
-	if s.Run.Sampling() {
-		if trace || traceText || pipeview > 0 {
-			return errors.New("-trace/-trace-text/-pipeview need a fully detailed run; drop -fast-forward/-sample-windows")
-		}
-		return runSampled(s, spec, mit, metrics, stdout, stderr)
+	// Sampling changes what "cycles" means (a detailed-window extrapolation)
+	// and the store answers with stored results, so both route through the
+	// harness instead of the plain machine loop.
+	if s.Run.Sampling() || stored {
+		return runCell(s, spec, mit, out, stored, metrics, stdout, stderr)
 	}
 
 	prog, err := spec.Build(mit.MTEEnabled(), s.Run.Scale)
@@ -226,51 +228,45 @@ func workloadSpec(workload string) (*workloads.Spec, error) {
 	return nil, fmt.Errorf("unknown benchmark %q (see internal/workloads)", workload)
 }
 
-// runSampled runs one cell in fast-forward sampling mode through the
-// harness: committed counts and output are exact, cycles are an
-// IPC-extrapolated estimate from the detailed windows.
-func runSampled(s *scenario.Scenario, spec *workloads.Spec, mit core.Mitigation, metrics *os.File,
-	stdout, stderr io.Writer) error {
+// runCell runs one cell through harness.RunCell. With stored set, a
+// verified store entry for (result hash, bench, mitigation) answers without
+// simulating and a cold run persists its result; the printed block is the
+// same either way (FormatStats sorts counters). A sampled run's committed
+// count and output are exact and its cycles an IPC-extrapolated estimate,
+// which its status line says.
+func runCell(s *scenario.Scenario, spec *workloads.Spec, mit core.Mitigation, out scenario.Output,
+	stored bool, metrics *os.File, stdout, stderr io.Writer) error {
 	opt := harness.OptionsFromScenario(s)
-	opt.Log = stderr
+	if stored {
+		st, err := store.OpenPruned(out.Store, out.StoreMaxBytes, stderr, "specasan-sim")
+		if err != nil {
+			return err
+		}
+		opt.Store = harness.DiskCellStore{S: st}
+	}
 	if metrics != nil {
 		opt.Metrics = metrics
 	}
-	r, err := harness.RunBenchmark(spec, mit, opt)
+	r, cached, err := harness.RunCell(spec, mit, opt)
 	if err != nil {
 		return err
 	}
 	if metrics != nil {
 		fmt.Fprintf(stdout, "metrics      %s\n", metrics.Name())
 	}
-	sampled := "sampled      no (run too short or multi-threaded; fully detailed)"
-	if sp := r.Sampled; sp != nil {
-		sampled = fmt.Sprintf("sampled      %d window(s): %d insts functional, %d detailed; cycles are an estimate",
-			sp.Windows, sp.FunctionalInsts, sp.DetailedInsts)
+	status := []string{"timed-out    false", "faulted      false"}
+	if s.Run.Sampling() {
+		status = []string{"sampled      no (run too short or multi-threaded; fully detailed)"}
+		if sp := r.Sampled; sp != nil {
+			status[0] = fmt.Sprintf("sampled      %d window(s): %d insts functional, %d detailed; cycles are an estimate",
+				sp.Windows, sp.FunctionalInsts, sp.DetailedInsts)
+		}
 	}
-	printResult(stdout, mit, r.Cycles, r.Committed, []string{sampled}, r.Output, nil, r.Stats)
-	return nil
-}
-
-// runStored runs (or serves) one named-kernel cell through the result
-// store: a verified entry for (result hash, bench, mitigation) answers
-// without simulating; a cold run simulates and persists. The printed block
-// matches the ordinary path (FormatStats sorts counters, so cached and cold
-// output are identical).
-func runStored(s *scenario.Scenario, spec *workloads.Spec, mit core.Mitigation, out scenario.Output,
-	stdout, stderr io.Writer) error {
-	st, err := store.OpenPruned(out.Store, out.StoreMaxBytes, stderr, "specasan-sim")
-	if err != nil {
-		return err
+	var tail []string
+	if stored {
+		tail = []string{fmt.Sprintf("cached       %v", cached)}
 	}
-	opt := harness.OptionsFromScenario(s)
-	opt.Store = harness.DiskCellStore{S: st}
-	r, cached, err := harness.RunCell(spec, mit, opt)
-	if err != nil {
-		return err
-	}
-	printResult(stdout, mit, r.Cycles, r.Committed, []string{"timed-out    false", "faulted      false"},
-		r.Output, []string{fmt.Sprintf("cached       %v", cached)}, r.Stats)
+	printResult(stdout, mit, r.Cycles, r.Committed, status, r.Output, tail, r.Stats)
 	return nil
 }
 

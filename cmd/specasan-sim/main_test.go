@@ -46,6 +46,10 @@ func TestTranscripts(t *testing.T) {
 			Check: sameMetrics("sampled-metrics")},
 		{Name: "store-cold", Args: []string{"-bench", "505.mcf_r", "-scale", "0.02", "-store", "$TMP/store"}},
 		{Name: "store-warm", Args: []string{"-bench", "505.mcf_r", "-scale", "0.02", "-store", "$TMP/store"}},
+		{Name: "store-sampled-cold", Args: []string{"-bench", "505.mcf_r", "-scale", "0.02",
+			"-sample-windows", "2", "-sample-window-insts", "2000", "-store", "$TMP/store"}},
+		{Name: "store-sampled-warm", Args: []string{"-bench", "505.mcf_r", "-scale", "0.02",
+			"-sample-windows", "2", "-sample-window-insts", "2000", "-store", "$TMP/store"}},
 		{Name: "no-workload", Args: nil, Fails: "need -bench, -file, or -scenario"},
 		{Name: "scale-inf", Args: []string{"-bench", "505.mcf_r", "-scale", "Inf"},
 			Fails: "scale must be finite and > 0 (got +Inf)"},

@@ -319,17 +319,6 @@ func (f *LFB) newest(now uint64) *lfbEntry {
 	return best
 }
 
-// Occupancy returns the number of valid in-flight entries at cycle now.
-func (f *LFB) Occupancy(now uint64) int {
-	n := 0
-	for i := range f.entries {
-		if f.entries[i].valid && f.entries[i].dataAt > now {
-			n++
-		}
-	}
-	return n
-}
-
 // ghostEntry is one GhostMinion shadow-buffer slot: a speculative fill kept
 // out of the cache hierarchy until the triggering load commits.
 type ghostEntry struct {

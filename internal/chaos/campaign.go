@@ -115,18 +115,22 @@ func RunCampaignOpts(cells []CampaignCell, opt CampaignOptions) ([]*RunReport, e
 	return reps, nil
 }
 
-// verdictCell pairs one Table 1 attack with one mitigation for the parallel
+// verdictCell pairs one Table 1 attack with one mitigation for the
 // invariance sweep.
 type verdictCell struct {
 	attack *attacks.Attack
 	mit    core.Mitigation
 }
 
-// CheckVerdictInvarianceParallel is CheckVerdictInvariance on a worker pool:
-// every (attack, mitigation) cell evaluates clean and chaotic verdicts
-// independently, and drifts are returned in the serial sweep's order
-// (attack-major, mitigation-minor) regardless of worker count.
-func CheckVerdictInvarianceParallel(seed uint64, rate float64,
+// CheckVerdictInvariance evaluates every Table 1 attack under every given
+// mitigation twice — clean, then with timing-safe chaos attached — and
+// returns the cells whose verdict moved. The timing-safe kinds reorder and
+// delay microarchitectural events without changing which transient
+// instructions run, so a security verdict that depends on them indicates a
+// race in the simulator's mitigation logic. Cells run on a pool of workers
+// (0 = GOMAXPROCS, 1 = serial); drifts come back attack-major,
+// mitigation-minor, whatever the worker count.
+func CheckVerdictInvariance(seed uint64, rate float64,
 	mits []core.Mitigation, workers int) ([]VerdictDrift, error) {
 
 	cfg := Config{Seed: seed, Kinds: TimingSafeKinds(), Rate: rate, MaxLatency: 150}

@@ -148,7 +148,7 @@ func TestKindParseRoundTrip(t *testing.T) {
 // verdicts for the canonical Spectre v1 row.
 func TestVerdictInvarianceSample(t *testing.T) {
 	drifts, err := CheckVerdictInvariance(5, 0.01,
-		[]core.Mitigation{core.SpecASan})
+		[]core.Mitigation{core.SpecASan}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,39 +198,3 @@ func (d VerdictDrift) String() string {
 	return fmt.Sprintf("%s under %v: %s -> %s",
 		d.Attack, d.Mitigation, d.Baseline.Word(), d.Chaotic.Word())
 }
-
-// CheckVerdictInvariance evaluates every Table 1 attack under every given
-// mitigation twice — clean, then with timing-safe chaos attached — and
-// returns the cells whose verdict moved. The timing-safe kinds reorder and
-// delay microarchitectural events without changing which transient
-// instructions run, so a security verdict that depends on them indicates a
-// race in the simulator's mitigation logic.
-func CheckVerdictInvariance(seed uint64, rate float64,
-	mits []core.Mitigation) ([]VerdictDrift, error) {
-
-	cfg := Config{Seed: seed, Kinds: TimingSafeKinds(), Rate: rate, MaxLatency: 150}
-	var drifts []VerdictDrift
-	for _, a := range attacks.All() {
-		for _, mit := range mits {
-			base, _, err := a.Evaluate(mit)
-			if err != nil {
-				return nil, err
-			}
-			inj, err := New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			chaotic, _, err := a.EvaluateWith(mit, inj.Attach)
-			if err != nil {
-				return nil, err
-			}
-			if chaotic != base {
-				drifts = append(drifts, VerdictDrift{
-					Attack: a.Name, Mitigation: mit,
-					Baseline: base, Chaotic: chaotic,
-				})
-			}
-		}
-	}
-	return drifts, nil
-}

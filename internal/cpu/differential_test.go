@@ -18,10 +18,10 @@ import (
 	"specasan/internal/isa"
 )
 
-// figure6Mitigations mirrors harness.Figure6Mitigations() — the paper's
-// headline comparison set. Spelled out here because cpu cannot import the
-// harness without a cycle; TestFigure6MitigationSet in internal/harness pins
-// the two lists together.
+// figure6Mitigations mirrors the figure6 scenario preset's columns — the
+// paper's headline comparison set. Spelled out here because cpu cannot import
+// the scenario package without a cycle; TestFigure6MitigationSet in
+// internal/harness pins the two lists together.
 var figure6Mitigations = []core.Mitigation{
 	core.Unsafe, core.Fence, core.STT, core.GhostMinion, core.SpecASan,
 }

@@ -38,11 +38,6 @@ type CellResult struct {
 	// are part of the scenario's result-context hash.
 	Sampled  *obs.SampledRegions `json:"sampled,omitempty"`
 	Counters map[string]uint64   `json:"counters,omitempty"`
-	// Note is the harness's deterministic per-cell diagnostic (e.g.
-	// "uncached: source override"). Noted cells are by definition never
-	// stored, so the field exists for the serve response path, which reuses
-	// CellResult as its wire shape; omitempty keeps stored payloads as-is.
-	Note string `json:"note,omitempty"`
 }
 
 // CellResultOf converts a cold run's PerfResult into its cacheable form.
@@ -56,7 +51,6 @@ func CellResultOf(r *PerfResult) *CellResult {
 		Restricted: r.Restricted,
 		Output:     r.Output,
 		Sampled:    r.Sampled,
-		Note:       r.Note,
 	}
 	if r.Stats != nil {
 		c.Counters = make(map[string]uint64, len(r.Stats.Keys()))
@@ -98,7 +92,6 @@ func (c *CellResult) PerfResult() (*PerfResult, error) {
 		Output:     c.Output,
 		Stats:      set,
 		Sampled:    c.Sampled,
-		Note:       c.Note,
 	}, nil
 }
 

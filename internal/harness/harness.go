@@ -78,15 +78,14 @@ type Options struct {
 	ResultHash string
 
 	// FastForwardInsts, when > 0, runs the first N instructions of every
-	// single-core cell on the functional golden interpreter, transplants the
-	// architectural state into a fresh detailed machine (cpu.NewMachineAt),
-	// and simulates the remainder cycle-accurately ("tail mode"; see
-	// sample.go). Multi-threaded cells and programs shorter than N fall back
-	// to full detailed runs.
+	// single-core cell on the functional golden interpreter and places the
+	// sampled windows after them (see sample.go). Without SampleWindows the
+	// plan is one detailed window from N to the program's end. Multi-threaded
+	// cells and programs shorter than N fall back to full detailed runs.
 	FastForwardInsts uint64
-	// SampleWindows, when > 1, switches to windowed sampling: that many
-	// evenly-spaced detailed windows of SampleWindowInsts instructions each,
-	// whole-run cycles extrapolated from their pooled post-warmup IPC.
+	// SampleWindows, when > 1, samples that many evenly-spaced detailed
+	// windows of SampleWindowInsts instructions each; whole-run cycles are
+	// extrapolated from their pooled post-warmup IPC.
 	SampleWindows int
 	// SampleWindowInsts is the detailed length of each sampled window
 	// (required when SampleWindows > 1).
@@ -128,6 +127,14 @@ func (o *Options) warmup() uint64 {
 		return o.WarmupCycles
 	}
 	return DefaultWarmupCycles
+}
+
+// config resolves the effective machine configuration.
+func (o *Options) config() core.Config {
+	if o.Config != nil {
+		return *o.Config
+	}
+	return core.DefaultConfig()
 }
 
 // RetryPolicy tunes how RunCell retries cells that exhaust their cycle
@@ -185,11 +192,6 @@ type PerfResult struct {
 	// Restricted) are extrapolated from the detailed regions it describes;
 	// Committed and Output are exact.
 	Sampled *obs.SampledRegions
-	// Note is a deterministic per-cell diagnostic the harness attaches (e.g.
-	// "uncached: source override" when a cell a caching run wanted to cache
-	// could not be keyed). It rides into CellResult and the serve response
-	// but never affects the simulated result.
-	Note string
 }
 
 // RunBenchmark executes one kernel under one mitigation and returns its
@@ -198,9 +200,13 @@ type PerfResult struct {
 // multi-threaded cells and programs too short to sample fall back to the
 // full detailed run below.
 func RunBenchmark(spec *workloads.Spec, mit core.Mitigation, opt Options) (*PerfResult, error) {
+	prog, err := spec.Build(mit.MTEEnabled(), opt.Scale)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", spec.Name, err)
+	}
 	if opt.Sampling() {
 		if spec.Threads == 1 {
-			r, err := runSampled(spec, mit, opt)
+			r, err := runSampled(spec, mit, opt, prog)
 			if !errors.Is(err, errSampleTooShort) {
 				return r, err
 			}
@@ -210,14 +216,7 @@ func RunBenchmark(spec *workloads.Spec, mit core.Mitigation, opt Options) (*Perf
 				spec.Name, mit, spec.Threads)
 		}
 	}
-	prog, err := spec.Build(mit.MTEEnabled(), opt.Scale)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", spec.Name, err)
-	}
-	cfg := core.DefaultConfig()
-	if opt.Config != nil {
-		cfg = *opt.Config
-	}
+	cfg := opt.config()
 	cfg.Cores = spec.Threads
 	m, err := cpu.NewMachine(cfg, mit, prog)
 	if err != nil {
@@ -226,47 +225,86 @@ func RunBenchmark(spec *workloads.Spec, mit core.Mitigation, opt Options) (*Perf
 	for i := 0; i < spec.Threads; i++ {
 		m.Core(i).SetReg(isa.X0, uint64(i))
 	}
-	m.SkipIdle = !opt.NoSkipIdle
-	var met *obs.Metrics
-	if opt.Metrics != nil {
-		met = obs.NewMetrics(cfg.Cores)
-		m.AttachObs(nil, met)
-	}
-	if opt.Attach != nil {
-		opt.Attach(spec.Name, mit, m)
-	}
+	met := opt.newMetrics(cfg.Cores)
+	opt.instrument(spec, mit, m, met)
 	res := m.Run(opt.MaxCycles)
-	if res.Err != nil {
-		// Watchdog verdict: a wedged pipeline or broken invariant. Not
-		// retryable — surface the structured error with its snapshot.
-		return nil, fmt.Errorf("%s under %v: %w", spec.Name, mit, res.Err)
+	if err := runErr(spec, mit, m, res, true); err != nil {
+		return nil, err
 	}
-	if res.TimedOut {
-		return nil, fmt.Errorf("%s under %v: %w after %d cycles (cores %v still running)",
-			spec.Name, mit, ErrTimedOut, res.Cycles, res.TimedOutCores())
-	}
-	if res.Faulted {
-		return nil, fmt.Errorf("%s under %v faulted at %#x (core %d)",
-			spec.Name, mit, m.Core(res.FaultCore).FaultPC, res.FaultCore)
-	}
+	restricted := res.Stats.Get("restricted_commits")
 	opt.logf("  %-18s %-12s cycles=%-10d ipc=%.2f restricted=%d",
-		spec.Name, mit, res.Cycles, res.IPC(), res.Stats.Get("restricted_commits"))
-	if met != nil {
-		rec := met.Record(spec.Name, mit.String(), res.Cycles, res.Committed)
-		rec.ScenarioHash = opt.ScenarioHash
-		if err := obs.WriteMetricsLine(opt.Metrics, rec); err != nil {
-			return nil, fmt.Errorf("%s under %v: writing metrics: %w", spec.Name, mit, err)
-		}
+		spec.Name, mit, res.Cycles, res.IPC(), restricted)
+	if err := opt.emitMetrics(spec, mit, met, res.Cycles, res.Committed, nil); err != nil {
+		return nil, err
 	}
 	return &PerfResult{
 		Benchmark:  spec.Name,
 		Mitigation: mit,
 		Cycles:     res.Cycles,
 		Committed:  res.Committed,
-		Restricted: res.Stats.Get("restricted_commits"),
+		Restricted: restricted,
 		Output:     string(m.Core(0).Output),
 		Stats:      res.Stats,
 	}, nil
+}
+
+// newMetrics returns a metrics collector for a machine of cores cores when
+// the run emits a metrics stream, nil otherwise.
+func (o *Options) newMetrics(cores int) *obs.Metrics {
+	if o.Metrics == nil {
+		return nil
+	}
+	return obs.NewMetrics(cores)
+}
+
+// instrument applies the run options to a freshly built machine before it
+// runs: idle skipping, the metrics collector (when met is non-nil) and the
+// Attach hook.
+func (o *Options) instrument(spec *workloads.Spec, mit core.Mitigation, m *cpu.Machine, met *obs.Metrics) {
+	m.SkipIdle = !o.NoSkipIdle
+	if met != nil {
+		m.AttachObs(nil, met)
+	}
+	if o.Attach != nil {
+		o.Attach(spec.Name, mit, m)
+	}
+}
+
+// runErr converts a detailed run's result into the cell's error, checked in
+// order: a watchdog verdict, a timeout on a final leg, a fault. A leg that is
+// not final (a sampled window's warmup) is meant to run out its cycle slice.
+func runErr(spec *workloads.Spec, mit core.Mitigation, m *cpu.Machine, res *cpu.RunResult, final bool) error {
+	if res.Err != nil {
+		// Watchdog verdict: a wedged pipeline or broken invariant. Not
+		// retryable — surface the structured error with its snapshot.
+		return fmt.Errorf("%s under %v: %w", spec.Name, mit, res.Err)
+	}
+	if final && res.TimedOut {
+		return fmt.Errorf("%s under %v: %w after %d cycles (cores %v still running)",
+			spec.Name, mit, ErrTimedOut, res.Cycles, res.TimedOutCores())
+	}
+	if res.Faulted {
+		return fmt.Errorf("%s under %v faulted at %#x (core %d)",
+			spec.Name, mit, m.Core(res.FaultCore).FaultPC, res.FaultCore)
+	}
+	return nil
+}
+
+// emitMetrics writes the cell's metrics record when met collects one.
+// sampled annotates a sampled run's functional/detailed split; it is nil for
+// a full run.
+func (o *Options) emitMetrics(spec *workloads.Spec, mit core.Mitigation, met *obs.Metrics,
+	cycles, committed uint64, sampled *obs.SampledRegions) error {
+	if met == nil {
+		return nil
+	}
+	rec := met.Record(spec.Name, mit.String(), cycles, committed)
+	rec.ScenarioHash = o.ScenarioHash
+	rec.Sampled = sampled
+	if err := obs.WriteMetricsLine(o.Metrics, rec); err != nil {
+		return fmt.Errorf("%s under %v: writing metrics: %w", spec.Name, mit, err)
+	}
+	return nil
 }
 
 // Sweep holds the results of one figure's parameter sweep, organised as
@@ -355,9 +393,7 @@ func RunCell(spec *workloads.Spec, mit core.Mitigation, opt Options) (r *PerfRes
 	if cacheable {
 		opt.Store.PutCell(opt.ResultHash, CellResultOf(r))
 	} else if opt.storeKeyed() {
-		// A source override: the exclusion surfaces as a Note on the result
-		// instead of passing silently.
-		r.Note = "uncached: source override"
+		// A source override: say so instead of passing silently.
 		opt.logf("  %-18s %-12s uncached: source override", spec.Name, mit)
 	}
 	return r, false, nil
@@ -583,23 +619,6 @@ func (s *Sweep) FormatRestricted(title string) string {
 	b.WriteByte('\n')
 	s.appendFailures(&b)
 	return b.String()
-}
-
-// Figure6Mitigations are the defence columns of Figures 6 and 7.
-func Figure6Mitigations() []core.Mitigation {
-	return []core.Mitigation{core.Unsafe, core.Fence, core.STT,
-		core.GhostMinion, core.SpecASan}
-}
-
-// Figure8Mitigations are the restriction-metric columns of Figure 8.
-func Figure8Mitigations() []core.Mitigation {
-	return []core.Mitigation{core.Unsafe, core.Fence, core.STT, core.SpecASan}
-}
-
-// Figure9Mitigations are the CFI-combination columns of Figure 9.
-func Figure9Mitigations() []core.Mitigation {
-	return []core.Mitigation{core.Unsafe, core.SpecCFI, core.SpecASan,
-		core.SpecASanCFI}
 }
 
 // SecurityMatrix runs the Table 1 evaluation and formats it.

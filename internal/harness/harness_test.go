@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"specasan/internal/core"
+	"specasan/internal/scenario"
 	"specasan/internal/workloads"
 )
 
@@ -54,14 +55,28 @@ func TestSweepNormalization(t *testing.T) {
 	}
 }
 
+// presetMitigations returns a figure preset's mitigation columns.
+func presetMitigations(t *testing.T, name string) []core.Mitigation {
+	t.Helper()
+	s, ok := scenario.Preset(name)
+	if !ok {
+		t.Fatalf("no preset %q", name)
+	}
+	mits, err := s.MitigationList()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mits
+}
+
 func TestMitigationColumnSets(t *testing.T) {
-	if len(Figure6Mitigations()) != 5 || Figure6Mitigations()[0] != core.Unsafe {
+	if f6 := presetMitigations(t, scenario.PresetFigure6); len(f6) != 5 || f6[0] != core.Unsafe {
 		t.Error("Figure 6 columns wrong")
 	}
-	if len(Figure8Mitigations()) != 4 {
+	if len(presetMitigations(t, scenario.PresetFigure8)) != 4 {
 		t.Error("Figure 8 columns wrong")
 	}
-	if len(Figure9Mitigations()) != 4 {
+	if len(presetMitigations(t, scenario.PresetFigure9)) != 4 {
 		t.Error("Figure 9 columns wrong")
 	}
 }
@@ -244,18 +259,19 @@ func TestSweepAllCellsFailed(t *testing.T) {
 	}
 }
 
-// TestFigure6MitigationSet pins the Figure 6 list to the copy spelled out in
-// internal/cpu's differential tests (which cannot import the harness).
+// TestFigure6MitigationSet pins the figure6 preset's columns to the copy
+// spelled out in internal/cpu's differential tests (which cannot import the
+// scenario package).
 func TestFigure6MitigationSet(t *testing.T) {
 	want := []core.Mitigation{core.Unsafe, core.Fence, core.STT,
 		core.GhostMinion, core.SpecASan}
-	got := Figure6Mitigations()
+	got := presetMitigations(t, scenario.PresetFigure6)
 	if len(got) != len(want) {
-		t.Fatalf("Figure6Mitigations() = %v", got)
+		t.Fatalf("figure6 preset columns = %v", got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Figure6Mitigations()[%d] = %v, want %v", i, got[i], want[i])
+			t.Fatalf("figure6 preset column %d = %v, want %v", i, got[i], want[i])
 		}
 	}
 }

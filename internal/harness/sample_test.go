@@ -32,8 +32,10 @@ func requireIPCWithin(t *testing.T, full, sampled *PerfResult) {
 	t.Logf("IPC full=%.3f sampled=%.3f (%.1f%% delta)", fi, si, delta)
 }
 
-// TestSampledTailMatchesFull: fast-forward half the run functionally, finish
-// detailed. Committed and output must be exact; IPC within the tolerance.
+// TestSampledTailMatchesFull: -fast-forward alone is a one-window plan that
+// fast-forwards half the run functionally and finishes it detailed. The
+// window covers exactly the instructions after the fast-forward point;
+// committed and output must be exact; IPC within the tolerance.
 func TestSampledTailMatchesFull(t *testing.T) {
 	spec := workloads.ByName("508.namd_r")
 	for _, mit := range []core.Mitigation{core.Unsafe, core.SpecASan} {
@@ -43,13 +45,22 @@ func TestSampledTailMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt.FastForwardInsts = full.Committed / 2
+		ff := full.Committed / 2
+		opt.FastForwardInsts = ff
 		sampled, err := RunBenchmark(spec, mit, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sampled.Sampled == nil || sampled.Sampled.Windows != 1 {
-			t.Fatalf("%v: expected a tail-mode sampled result, got %+v", mit, sampled.Sampled)
+		sp := sampled.Sampled
+		if sp == nil || sp.Windows != 1 {
+			t.Fatalf("%v: expected a one-window sampled result, got %+v", mit, sp)
+		}
+		if sp.FunctionalInsts != ff {
+			t.Fatalf("%v: %d functional insts, want the fast-forward budget %d", mit, sp.FunctionalInsts, ff)
+		}
+		if sp.FunctionalInsts+sp.DetailedInsts != sampled.Committed {
+			t.Fatalf("%v: functional %d + detailed %d != committed %d",
+				mit, sp.FunctionalInsts, sp.DetailedInsts, sampled.Committed)
 		}
 		if sampled.Committed != full.Committed {
 			t.Fatalf("%v: committed %d != full %d (must be exact)", mit, sampled.Committed, full.Committed)
@@ -64,9 +75,9 @@ func TestSampledTailMatchesFull(t *testing.T) {
 	}
 }
 
-// TestSampledWindowsMatchFull: windowed mode's committed total and output
-// come from a full functional walk, so they are exact; cycles extrapolate
-// from the pooled window IPC.
+// TestSampledWindowsMatchFull: a four-window plan's committed total and
+// output come from a full functional walk, so they are exact; cycles
+// extrapolate from the pooled window IPC.
 func TestSampledWindowsMatchFull(t *testing.T) {
 	spec := workloads.ByName("505.mcf_r")
 	for _, mit := range []core.Mitigation{core.Unsafe, core.SpecASan} {

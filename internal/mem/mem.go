@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"specasan/internal/asm"
-	"specasan/internal/isa"
 	"specasan/internal/mte"
 	"specasan/internal/recycle"
 )
@@ -409,18 +408,6 @@ func (m *Image) clearMapped(addr, n uint64) {
 		addr, n = addr+k, n-k
 	}
 }
-
-// CodeReader adapts a set of programs (one per hardware thread, possibly
-// shared) into an instruction fetch source.
-type CodeReader struct {
-	prog *asm.Program
-}
-
-// NewCodeReader wraps a program for instruction fetch.
-func NewCodeReader(p *asm.Program) *CodeReader { return &CodeReader{prog: p} }
-
-// Fetch returns the instruction at pc, or nil when pc is not code.
-func (c *CodeReader) Fetch(pc uint64) *isa.Inst { return c.prog.InstAt(pc) }
 
 // DRAMConfig holds the timing parameters of the DRAM channel model.
 type DRAMConfig struct {

@@ -220,14 +220,3 @@ func TestControllerTagTrafficBatched(t *testing.T) {
 		t.Fatalf("tag fetches %d of %d fills: batching broken", tagged.TagFetches, tagged.Fetches)
 	}
 }
-
-func TestCodeReader(t *testing.T) {
-	p := asm.MustAssemble("NOP\nHLT")
-	cr := NewCodeReader(p)
-	if in := cr.Fetch(p.Entry); in == nil {
-		t.Fatal("fetch failed")
-	}
-	if in := cr.Fetch(0xdeadbeef); in != nil {
-		t.Fatal("non-code fetch must return nil")
-	}
-}

@@ -42,7 +42,8 @@ type SampledRegions struct {
 	// WarmupCycles is the detailed prefix (per window) excluded from the IPC
 	// estimate the extrapolated totals are built on.
 	WarmupCycles uint64 `json:"warmup_cycles"`
-	// Windows is the detailed-window count (1 = tail mode).
+	// Windows is the detailed-window count (1 for -fast-forward alone, whose
+	// one window runs from the fast-forward point to the end).
 	Windows int `json:"windows"`
 }
 

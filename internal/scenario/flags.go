@@ -91,7 +91,7 @@ var knobs = map[string]knob{
 		field((*flag.FlagSet).Bool, func(s *Scenario) *bool { return &s.Run.SkipIdle })},
 	"fast-forward": {"fast-forward this many instructions functionally before detailed simulation (0 = fully detailed; committed counts and output stay exact, cycles become an estimate)",
 		field((*flag.FlagSet).Uint64, func(s *Scenario) *uint64 { return &s.Run.FastForwardInsts })},
-	"sample-windows": {"simulate this many evenly-spaced detailed windows and extrapolate cycles from their pooled IPC (requires -sample-window-insts; <=1 = tail mode / off)",
+	"sample-windows": {"simulate this many evenly-spaced detailed windows and extrapolate cycles from their pooled IPC (requires -sample-window-insts; <=1 = one window after -fast-forward, or no sampling)",
 		field((*flag.FlagSet).Int, func(s *Scenario) *int { return &s.Run.SampleWindows })},
 	"sample-window-insts": {"instructions per detailed window for -sample-windows",
 		field((*flag.FlagSet).Uint64, func(s *Scenario) *uint64 { return &s.Run.SampleWindowInsts })},

@@ -65,14 +65,14 @@ type RunOptions struct {
 	// run. All use omitempty so pre-sampling scenarios keep their hashes.
 
 	// FastForwardInsts, when > 0, executes the first N instructions of every
-	// single-core cell functionally before switching to cycle-accurate
-	// simulation. Without SampleWindows the rest of the run is fully
-	// detailed ("tail mode"). Multi-threaded cells fall back to full runs.
+	// single-core cell functionally before any detailed window. Without
+	// SampleWindows the plan is one detailed window from N to the end of the
+	// run. Multi-threaded cells fall back to full runs.
 	FastForwardInsts uint64 `json:"fast_forward_insts,omitempty"`
 	// SampleWindows, when > 1, measures that many evenly-spaced detailed
 	// windows of SampleWindowInsts instructions each across the (functionally
 	// pre-walked) run, and extrapolates whole-run cycles from their pooled
-	// IPC. 0 and 1 both mean tail mode.
+	// IPC. 0 and 1 both mean the one-window plan of FastForwardInsts.
 	SampleWindows int `json:"sample_windows,omitempty"`
 	// SampleWindowInsts is the detailed length of each sampled window;
 	// required exactly when SampleWindows > 1.
@@ -84,7 +84,7 @@ type RunOptions struct {
 }
 
 // Sampling reports whether the run options select fast-forward sampled
-// simulation (tail mode or windowed mode).
+// simulation (FastForwardInsts, SampleWindows or both).
 func (r *RunOptions) Sampling() bool {
 	return r.FastForwardInsts > 0 || r.SampleWindows > 1
 }
@@ -202,7 +202,7 @@ func (s *Scenario) Validate() error {
 		return fmt.Errorf("scenario run: sample_window_insts must be > 0 when sample_windows > 1")
 	}
 	if s.Run.SampleWindowInsts > 0 && s.Run.SampleWindows <= 1 {
-		return fmt.Errorf("scenario run: sample_window_insts requires sample_windows > 1 (tail mode ignores it)")
+		return fmt.Errorf("scenario run: sample_window_insts requires sample_windows > 1 (the one-window plan runs to the end of the program)")
 	}
 	if s.Run.Sampling() && s.Chaos != nil {
 		return fmt.Errorf("scenario run: sampling is incompatible with a chaos section (the injector must observe every cycle)")
