@@ -55,8 +55,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	listMits := f.Bool("mitigations", false, "list the registered mitigation policies and exit")
 	showConfig := f.Bool("config", false, "print the simulated CPU configuration (Table 2) and exit")
 	trace := f.Bool("trace", false, "record a cycle-accurate event trace and write it as Chrome trace-event JSON")
-	traceText := f.Bool("trace-text", false, "print the textual pipeline trace to stdout")
-	pipeview := f.Int("pipeview", 0, "render a timeline of the last N instructions")
+	traceText := f.Bool("trace-text", false, "print the event trace to stdout, one line per event")
+	pipeview := f.Int("pipeview", 0, "render a timeline of core 0's last N dispatched instructions from the event trace")
 	f.Parse(args)
 
 	if *showConfig {
@@ -163,11 +163,10 @@ func sim(f *scenario.Flags, stdout, stderr io.Writer, trace, traceText bool, pip
 		m.Core(i).SetReg(isa.X0, uint64(i))
 	}
 	m.SkipIdle = s.Run.SkipIdle
-	if traceText {
-		m.Core(0).TraceFn = func(format string, a ...any) { fmt.Fprintf(stdout, format+"\n", a...) }
-	}
+	// One event ring feeds every view: the Chrome trace, the text trace and
+	// the pipeline timeline.
 	var tr *obs.Tracer
-	if trace {
+	if trace || traceText || pipeview > 0 {
 		tr = obs.NewTracer(threads, 0)
 	}
 	var met *obs.Metrics
@@ -177,13 +176,15 @@ func sim(f *scenario.Flags, stdout, stderr io.Writer, trace, traceText bool, pip
 	if tr != nil || met != nil {
 		m.AttachObs(tr, met)
 	}
-	var rec *cpu.Recorder
-	if pipeview > 0 {
-		rec = cpu.NewRecorder(pipeview * 4)
-		m.Core(0).Rec = rec
-	}
 	res := m.Run(s.Run.MaxCycles)
-	if tr != nil {
+	disasm := func(pc uint64) string { return prog.InstAt(pc).String() } // events carry code PCs
+	if traceText {
+		if err := obs.WriteText(stdout, tr, disasm); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "trace-text   %d events, %d dropped\n", tr.Recorded(), tr.Dropped())
+	}
+	if trace {
 		if err := obs.WriteChromeTraceFile(out.TraceOut, tr); err != nil {
 			return err
 		}
@@ -206,8 +207,8 @@ func sim(f *scenario.Flags, stdout, stderr io.Writer, trace, traceText bool, pip
 	if res.Err != nil {
 		return fmt.Errorf("%v\npipeline snapshot:\n%s", res.Err, res.Err.Snapshot)
 	}
-	if rec != nil {
-		fmt.Fprint(stdout, rec.Render(pipeview))
+	if pipeview > 0 {
+		fmt.Fprint(stdout, obs.Pipeview(tr.Core(0), pipeview, disasm))
 	}
 	return nil
 }

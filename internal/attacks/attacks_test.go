@@ -140,3 +140,44 @@ func TestSpecASanBlocksAccessStage(t *testing.T) {
 		t.Fatalf("secret speculatively read %d times under SpecASan", out.SecretReads)
 	}
 }
+
+// TestGhostMinionHidesMemoryDependenceFills runs the STL (Spectre v4) PoC
+// under GhostMinion and reads the attacker's view: which probe lines are
+// valid in L1D or L2 once the run ends. The stale-secret load and its
+// transmit execute inside a memory-dependence window, which the core
+// routes to the ghost buffer, so the secret-indexed probe line must not be
+// installed in the real caches. The unprotected baseline installs it.
+func TestGhostMinionHidesMemoryDependenceFills(t *testing.T) {
+	secretLine := int(SecretValue & 63) // the transmit's probe line
+	cached := func(mit core.Mitigation) []int {
+		sc, err := SpectreSTL().Variants[0].Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, m, res, err := RunScenario("stl", sc, mit, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lines []int
+		for i := 0; i < ProbeSize/64; i++ {
+			if m.Hier.InAnyCache(ProbeAddr+uint64(i)*64, res.Cycles) {
+				lines = append(lines, i)
+			}
+		}
+		return lines
+	}
+	has := func(lines []int, l int) bool {
+		for _, x := range lines {
+			if x == l {
+				return true
+			}
+		}
+		return false
+	}
+	if lines := cached(core.Unsafe); !has(lines, secretLine) {
+		t.Fatalf("Unsafe: probe lines %v cached, want the secret's line %d among them", lines, secretLine)
+	}
+	if lines := cached(core.GhostMinion); has(lines, secretLine) {
+		t.Fatalf("GhostMinion: probe lines %v cached, the secret's line %d among them", lines, secretLine)
+	}
+}

@@ -24,9 +24,11 @@ package attacks
 // loads only into the untagged probe regions, no stores, no back-edges.
 
 import (
+	"errors"
 	"fmt"
 
 	"specasan/internal/asm"
+	"specasan/internal/core"
 	"specasan/internal/cpu"
 	"specasan/internal/mem"
 	"specasan/internal/mte"
@@ -109,6 +111,35 @@ type SetupSpec struct {
 	// named label's address (cross-context RSB pollution).
 	PoisonRSBLabel   string `json:"poison_rsb_label,omitempty"`
 	PoisonRSBEntries int    `json:"poison_rsb_entries,omitempty"`
+}
+
+// MaxRetagBytes bounds one retag range: tagging walks every 16-byte granule
+// of the range, and the PoC regions it retags are a few granules each.
+const MaxRetagBytes = 1 << 20
+
+// Setup validation errors.
+var (
+	ErrRetagTag         = errors.New("retag tag out of range")
+	ErrRetagSize        = errors.New("retag range too large")
+	ErrPoisonRSBEntries = errors.New("poison_rsb_entries out of range")
+)
+
+// Validate checks a decoded setup before Apply runs it: each retag range
+// carries a 4-bit lock and spans at most MaxRetagBytes, and RSB poisoning
+// pushes at most the default return stack's depth (more only wraps it).
+func (s *SetupSpec) Validate() error {
+	for i, r := range s.Retag {
+		if r.Tag >= mte.NumTags {
+			return fmt.Errorf("setup retag[%d]: %w: tag %d (max %d)", i, ErrRetagTag, r.Tag, mte.NumTags-1)
+		}
+		if r.Size > MaxRetagBytes {
+			return fmt.Errorf("setup retag[%d]: %w: %d bytes (max %d)", i, ErrRetagSize, r.Size, MaxRetagBytes)
+		}
+	}
+	if depth := core.DefaultConfig().RSBDepth; s.PoisonRSBEntries < 0 || s.PoisonRSBEntries > depth {
+		return fmt.Errorf("setup: %w: %d (want 0..%d)", ErrPoisonRSBEntries, s.PoisonRSBEntries, depth)
+	}
+	return nil
 }
 
 // Apply performs the setup on a machine. prog resolves labels (RSB

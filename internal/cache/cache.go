@@ -545,7 +545,9 @@ type AccessReq struct {
 	// a tag mismatch suppress data return and fills (SpecASan).
 	Spec        bool
 	BlockUnsafe bool
-	// Ghost redirects speculative fills to the ghost buffer (GhostMinion).
+	// Ghost redirects the fill to the ghost buffer (GhostMinion). The core
+	// sets it for a load under control or memory-dependence speculation;
+	// Spec covers control speculation alone.
 	Ghost bool
 	// FaultingSample requests the baseline RIDL/ZombieLoad behaviour: the
 	// access is an assisted/faulting load that transiently samples the LFB.
@@ -699,7 +701,7 @@ func (h *Hierarchy) Access(req AccessReq) AccessRes {
 	// Miss: fetch from L2/memory. Blocked (unsafe speculative) fills and
 	// ghost fills must not install anywhere in the hierarchy (G3 /
 	// GhostMinion invisibility); the request still consumes bandwidth.
-	ghostFill := req.Ghost && req.Spec && !req.Write
+	ghostFill := req.Ghost && !req.Write
 	install := !blockData && !ghostFill
 	dataAt, servedBy := h.fetchFromL2(req.Core, la, start+l1.hitLat, req.Write, install)
 

@@ -242,24 +242,17 @@ type Core struct {
 
 	Stats *stats.Set
 
-	// Rec, when set, records per-instruction lifecycle timestamps for the
-	// pipeline viewer (gem5-o3pipeview style).
-	Rec *Recorder
-
-	// TraceFn, when set, receives one line per notable pipeline event
-	// (dispatch, memory issue/response, branch resolution, squash, fault).
-	// The spectre_v1_demo example uses it to print the Figure 5 walkthrough.
-	TraceFn func(format string, args ...any)
-
 	// ChaosBranchDelay, when set, returns extra cycles added to a branch's
 	// issue-to-resolve latency (delayed-resolution fault injection; widens
 	// the speculative window without changing the resolved outcome).
 	ChaosBranchDelay func(pc uint64) uint64
 
 	// Obs, when set, receives every pipeline and SpecASan lifecycle event
-	// into this core's preallocated trace ring (internal/obs). Met, when
-	// set, feeds the per-core latency histograms directly. Both are
-	// nil-guarded: disabled, each hook site costs one pointer compare.
+	// into this core's preallocated trace ring (internal/obs): the core's
+	// only observer, behind the Chrome trace, the text trace, the pipeline
+	// timeline and the Figure 5 walkthrough. Met, when set, feeds the
+	// per-core latency histograms directly. Both are nil-guarded: disabled,
+	// each hook site costs one pointer compare.
 	Obs *obs.CoreTrace
 	Met *obs.CoreMetrics
 
@@ -754,13 +747,6 @@ func (c *Core) secretSources(e *robEntry) bool {
 	return false
 }
 
-// trace emits a pipeline event line when tracing is enabled.
-func (c *Core) trace(format string, args ...any) {
-	if c.TraceFn != nil {
-		c.TraceFn(format, args...)
-	}
-}
-
 // Cycle returns the core's current cycle.
 func (c *Core) Cycle() uint64 { return c.cycle }
 
@@ -823,7 +809,7 @@ func (c *Core) ChaosFlush() bool {
 		}
 		target = e.actualNext
 	}
-	c.squashAfter(e.seq, target)
+	c.squashAfter(e.seq, target, 0)
 	c.inc(ctrChaosFlushes)
 	return true
 }

@@ -139,10 +139,6 @@ func (c *Core) executeStore(e *robEntry) attempt {
 	}
 	c.setDone(e, c.cycle+1)
 	c.inc(ctrStoresExec)
-	if c.TraceFn != nil {
-		c.trace("cycle %d: store seq=%d pc=%#x addr=%#x data=%#x tagOK=%v",
-			c.cycle, e.seq, e.pc, mte.Strip(e.addr), e.storeData, e.tagOK)
-	}
 	return attemptMoved
 }
 
@@ -353,9 +349,6 @@ func (c *Core) executeLoad(e *robEntry) attempt {
 		c.inc(ctrSTLForwards)
 		return attemptMoved
 	case fwdFallout:
-		if c.TraceFn != nil {
-			c.trace("cycle %d: load seq=%d fallout-candidate from store seq=%d", c.cycle, e.seq, st.seq)
-		}
 		if c.specChecks {
 			// SpecASan checks tags before any forward: a partial match
 			// cannot validate, so the false forward never happens; the
@@ -425,11 +418,6 @@ func (c *Core) executeLoad(e *robEntry) attempt {
 	}
 	c.waitMem(e, ready)
 	c.inc(ctrLoads)
-	if c.TraceFn != nil {
-		c.trace("cycle %d: load seq=%d pc=%#x addr=%#x key=%d lock=%d tagOK=%v spec=%v served=%s ready=%d blocked=%v",
-			c.cycle, e.seq, e.pc, mte.Strip(e.addr), mte.Key(e.addr), res.Lock,
-			res.TagOK, spec, res.ServedBy, res.ReadyAt, res.Blocked)
-	}
 
 	// Leak-oracle: a speculatively issued access whose *address* derives
 	// from secret data perturbs the cache (and MSHRs on a miss).
@@ -474,7 +462,7 @@ func (c *Core) checkOrderViolation(st *robEntry) bool {
 			c.trainMDU(e.pc, true)
 			c.inc(ctrOrderViolations)
 			// Squash from the violating load (inclusive) and refetch it.
-			c.squashAfter(e.seq-1, e.pc)
+			c.squashAfter(e.seq-1, e.pc, 0)
 			return true
 		}
 	}
@@ -539,12 +527,6 @@ func (c *Core) completeMemAccess(e *robEntry) {
 		// hold until speculation resolves.
 		e.state = stWaitUnsafe
 		c.onUnsafeAccess(e)
-		if c.Rec != nil {
-			c.Rec.onUnsafe(e)
-		}
-		if c.TraceFn != nil {
-			c.trace("cycle %d: seq=%d tcs=unsafe (SSA=0), delaying until speculation resolves", c.cycle, e.seq)
-		}
 		return
 	}
 	size := int(e.inst.Dec.Bytes)

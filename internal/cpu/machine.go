@@ -45,7 +45,7 @@ func (c *Core) commitStore(e *robEntry) {
 		}
 		if oldest != nil {
 			c.inc(ctrFalloutReplays)
-			c.squashAfter(oldest.seq-1, oldest.pc)
+			c.squashAfter(oldest.seq-1, oldest.pc, 0)
 			return
 		}
 	case isa.STG:

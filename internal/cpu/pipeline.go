@@ -332,12 +332,6 @@ func (c *Core) dispatch() {
 			e.lastBranchSeq = c.branchQ[n-1]
 		}
 
-		if c.TraceFn != nil {
-			c.trace("cycle %d: dispatch seq=%d pc=%#x %v", c.cycle, seq, fi.pc, in)
-		}
-		if c.Rec != nil {
-			c.Rec.onDispatch(c, e)
-		}
 		c.obsRecord(seq, fi.pc, obs.EvDispatch, 0)
 		c.iqCount++
 		if e.isBranch {
@@ -474,11 +468,11 @@ func (c *Core) issue() {
 	// The pass also decides whether this cycle's issue was idle: every ready
 	// entry visited, and each one either policy-blocked by a gate other than
 	// DoM or retried without changing state; nothing issued, no unit wait.
-	// A retry's trace events and pipeview issue are changes too, so with an
-	// observer attached any retry makes the pass busy. Idle issue with the
-	// per-cycle counts recorded lets nextEventCycle skip a non-empty ready
-	// queue (skip.go).
-	observed := c.Obs != nil || c.Rec != nil || c.TraceFn != nil
+	// A retry's trace events are changes too, so with the event ring
+	// attached any retry makes the pass busy. Idle issue with the per-cycle
+	// counts recorded lets nextEventCycle skip a non-empty ready queue
+	// (skip.go).
+	observed := c.Obs != nil
 	issued := 0
 	moved := false // an entry issued, or a retry changed state
 	busy := false  // an entry waits on a unit, or DoM blocked one
@@ -509,9 +503,6 @@ func (c *Core) issue() {
 			c.readyQ[w] = seq
 			w++
 			continue
-		}
-		if c.Rec != nil {
-			c.Rec.onIssue(c, e)
 		}
 		e.issuedAt = c.cycle
 		c.obsRecord(e.seq, e.pc, obs.EvIssue, 0)
@@ -781,11 +772,6 @@ func (c *Core) resolveBranch(e *robEntry) (mispredicted bool) {
 	in := e.inst
 	taken := e.brTaken
 	correct := e.predTaken == taken && (!taken || e.predTarget == e.actualNext)
-	if c.TraceFn != nil {
-		c.trace("cycle %d: resolve seq=%d pc=%#x %v -> %#x (pred taken=%v tgt=%#x, %s)",
-			c.cycle, e.seq, e.pc, in, e.actualNext, e.predTaken, e.predTarget,
-			map[bool]string{true: "correct", false: "MISPREDICT"}[correct])
-	}
 
 	// Train the predictors.
 	switch in.Op {
@@ -817,7 +803,7 @@ func (c *Core) resolveBranch(e *robEntry) (mispredicted bool) {
 	// Every registered consumer is younger and about to be squashed; drop
 	// them so the seqs cannot alias to re-dispatched instructions.
 	e.consumers = e.consumers[:0]
-	c.squashAfter(e.seq, e.actualNext)
+	c.squashAfter(e.seq, e.actualNext, e.seq)
 	return true
 }
 
@@ -874,8 +860,9 @@ func (c *Core) restoreRAT(boundary uint64) {
 }
 
 // squashAfter flushes every instruction younger than seq and redirects
-// fetch to target.
-func (c *Core) squashAfter(seq uint64, target uint64) {
+// fetch to target. by is the branch whose mispredicted resolution squashes
+// (seq itself), named in each squash event; 0 for any other cause.
+func (c *Core) squashAfter(seq, target, by uint64) {
 	c.restoreRAT(seq)
 	var depth uint64
 	for s := seq + 1; s < c.nextSeq; s++ {
@@ -885,6 +872,7 @@ func (c *Core) squashAfter(seq uint64, target uint64) {
 		}
 		depth++
 		c.releaseEntry(e, true)
+		c.obsRecord(e.seq, e.pc, obs.EvSquash, by)
 	}
 	if c.Met != nil {
 		c.Met.SquashDepth.Observe(depth)
@@ -901,9 +889,6 @@ func (c *Core) squashAfter(seq uint64, target uint64) {
 		c.shadowStack = c.shadowStack[:0]
 	}
 	c.inc(ctrSquashes)
-	if c.TraceFn != nil {
-		c.trace("cycle %d: squash younger than seq=%d, refetch %#x", c.cycle, seq, target)
-	}
 }
 
 // releaseEntry tears down per-entry resources: queue membership, rename-map
@@ -971,10 +956,6 @@ func (c *Core) releaseEntry(e *robEntry, squashed bool) {
 			}
 		}
 		e.consumers = e.consumers[:0]
-		if c.Rec != nil {
-			c.Rec.onSquash(c, e)
-		}
-		c.obsRecord(e.seq, e.pc, obs.EvSquash, 0)
 		if c.ghostOn && e.isLoad && e.memIssued && e.addrReady {
 			c.hier.DropGhost(c.ID, e.addr)
 		}
@@ -1020,15 +1001,11 @@ func (c *Core) commit() {
 			c.raiseFault(e)
 			return
 		}
-		if c.Rec != nil {
-			c.Rec.onComplete(c, e)
-			c.Rec.onCommit(c, e)
-		}
 		// Every committed entry passed through issue, so issuedAt is set.
 		if c.Met != nil {
 			c.Met.IssueToCommit.Observe(c.cycle - e.issuedAt)
 		}
-		c.obsRecord(e.seq, e.pc, obs.EvCommit, c.cycle-e.issuedAt)
+		c.obsRecord(e.seq, e.pc, obs.EvCommit, obs.CommitArg(c.cycle-e.issuedAt, c.cycle-e.doneAt))
 		c.commitEntry(e)
 		c.dropCandidates(e.seq)
 		c.releaseEntry(e, false)
@@ -1116,6 +1093,7 @@ func (c *Core) raiseFault(e *robEntry) {
 		en := &c.rob[s&c.robMask]
 		if en.valid {
 			c.releaseEntry(en, true)
+			c.obsRecord(en.seq, en.pc, obs.EvSquash, 0)
 		}
 	}
 	c.nextSeq = e.seq

@@ -6,9 +6,39 @@ import (
 
 	"specasan/internal/asm"
 	"specasan/internal/core"
+	"specasan/internal/obs"
 )
 
-func TestRecorderTimeline(t *testing.T) {
+// pipeview runs prog under mit with an event ring of the given capacity
+// attached and renders core 0's timeline of the last n dispatches.
+func pipeview(t *testing.T, prog *asm.Program, mit core.Mitigation, capacity, n int, setup func(*Machine)) []string {
+	t.Helper()
+	m, err := NewMachine(core.DefaultConfig(), mit, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if setup != nil {
+		setup(m)
+	}
+	tr := obs.NewTracer(1, capacity)
+	m.AttachObs(tr, nil)
+	if res := m.Run(1_000_000); res.TimedOut {
+		t.Fatal("timeout")
+	}
+	out := obs.Pipeview(tr.Core(0), n, func(pc uint64) string { return prog.InstAt(pc).String() })
+	var rows []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasSuffix(line, "|") {
+			rows = append(rows, line)
+		}
+	}
+	return rows
+}
+
+// cells returns a timeline row's cycle columns.
+func cells(row string) string { return row[strings.Index(row, "|"):] }
+
+func TestPipeviewTimeline(t *testing.T) {
 	prog := asm.MustAssemble(`
 _start:
     MOV X0, #1
@@ -20,75 +50,40 @@ _start:
 buf:
     .word 5
 `)
-	m, err := NewMachine(core.DefaultConfig(), core.Unsafe, prog)
-	if err != nil {
-		t.Fatal(err)
+	rows := pipeview(t, prog, core.Unsafe, 0, 0, nil)
+	if len(rows) != 5 {
+		t.Fatalf("rows = %d, want 5:\n%s", len(rows), strings.Join(rows, "\n"))
 	}
-	rec := NewRecorder(0)
-	m.Core(0).Rec = rec
-	if res := m.Run(1_000_000); res.TimedOut {
-		t.Fatal("timeout")
-	}
-	recs := rec.Records()
-	if len(recs) != 5 {
-		t.Fatalf("records = %d, want 5", len(recs))
-	}
-	for _, r := range recs {
-		if r.Commit == 0 {
-			t.Errorf("seq %d (%s) did not commit", r.Seq, r.Text)
-		}
-		if r.Issue != 0 && r.Issue < r.Dispatch {
-			t.Errorf("seq %d issued before dispatch", r.Seq)
-		}
-		if r.Commit < r.Dispatch {
-			t.Errorf("seq %d committed before dispatch", r.Seq)
+	// Marks in one column overwrite each other (D, I, C, R, X in that
+	// order), so a row shows at least its retirement.
+	for _, r := range rows {
+		if c := cells(r); !strings.Contains(c, "R") || strings.Contains(c, "X") {
+			t.Errorf("row must retire without a squash: %s", r)
 		}
 	}
-	out := rec.Render(0)
-	for _, want := range []string{"LDR X3", "SVC #1", "D", "R"} {
-		if want == "SVC #1" {
-			continue
-		}
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
-	}
-	c, s, avg := rec.Stats()
-	if c != 5 || s != 0 || avg <= 0 {
-		t.Fatalf("stats = %d committed, %d squashed, %.1f avg", c, s, avg)
+	if !strings.Contains(rows[3], "LDR X3") {
+		t.Errorf("row 4 must be the load: %s", rows[3])
 	}
 }
 
-func TestRecorderCapturesSquashAndUnsafe(t *testing.T) {
+func TestPipeviewCapturesSquashAndUnsafe(t *testing.T) {
 	// The G1 gadget: the OOB access goes tcs=unsafe; the mispredicted-path
 	// variant squashes it.
 	prog := asm.MustAssemble(strings.Replace(specV1Shape,
 		".word 1000000", ".word 16", 1))
-	m, err := NewMachine(core.DefaultConfig(), core.SpecASan, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Img.Tags.SetRange(0x100000, 128, 0xa)
-	m.Img.Tags.SetRange(0x100080, 16, 0xb)
-	rec := NewRecorder(0)
-	m.Core(0).Rec = rec
-	m.Run(1_000_000)
-	oob := rec.Find("LDR X5")
-	if len(oob) == 0 {
-		t.Fatal("no record for the OOB load")
-	}
-	sawUnsafeSquashed := false
-	for _, r := range oob {
-		if r.Unsafe && r.Squash != 0 {
-			sawUnsafeSquashed = true
+	rows := pipeview(t, prog, core.SpecASan, 0, 0, func(m *Machine) {
+		m.Img.Tags.SetRange(0x100000, 128, 0xa)
+		m.Img.Tags.SetRange(0x100080, 16, 0xb)
+	})
+	for _, r := range rows {
+		if strings.Contains(r, "LDR X5") && strings.Contains(r, " u ") && strings.Contains(cells(r), "X") {
+			return
 		}
 	}
-	if !sawUnsafeSquashed {
-		t.Fatal("the OOB load must be recorded as unsafe and squashed")
-	}
+	t.Fatalf("the OOB load must be drawn as unsafe and squashed:\n%s", strings.Join(rows, "\n"))
 }
 
-func TestRecorderBounded(t *testing.T) {
+func TestPipeviewBounded(t *testing.T) {
 	prog := asm.MustAssemble(`
 _start:
     MOV X12, #100
@@ -98,11 +93,14 @@ loop:
     CBNZ X12, loop
     SVC #0
 `)
-	m, _ := NewMachine(core.DefaultConfig(), core.Unsafe, prog)
-	rec := NewRecorder(16)
-	m.Core(0).Rec = rec
-	m.Run(1_000_000)
-	if len(rec.Records()) > 16 {
-		t.Fatalf("recorder exceeded bound: %d", len(rec.Records()))
+	if rows := pipeview(t, prog, core.Unsafe, 0, 16, nil); len(rows) != 16 {
+		t.Fatalf("pipeview 16 drew %d rows", len(rows))
+	}
+	if rows := pipeview(t, prog, core.Unsafe, 0, 1000, nil); len(rows) != 64 {
+		t.Fatalf("pipeview 1000 drew %d rows, want the 64-row cap", len(rows))
+	}
+	// A ring too small for the window draws what it retained.
+	if rows := pipeview(t, prog, core.Unsafe, 32, 16, nil); len(rows) == 0 || len(rows) > 16 {
+		t.Fatalf("a wrapped ring drew %d rows", len(rows))
 	}
 }

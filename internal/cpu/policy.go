@@ -91,7 +91,8 @@ func (c *Core) onUnsafeAccess(e *robEntry) {
 		// First delay of this access (re-entry via forward-denied retries
 		// keeps the original start cycle).
 		e.unsafeSince = c.cycle
-		c.obsRecord(e.seq, e.pc, obs.EvTagDelayStart, 0)
+		c.obsRecord(e.seq, e.pc, obs.EvTagDelayStart,
+			uint64(mte.Key(e.addr))<<4|uint64(c.img.Tags.Lock(e.addr)))
 	}
 	c.inc(ctrUnsafeAccesses)
 	for s := e.seq + 1; s < c.nextSeq; s++ {

@@ -48,9 +48,9 @@ package cpu
 //     per-reason policy_block_* and the mdu_waits counts are added
 //     analytically. A retry also re-stamps issuedAt, which only the final,
 //     successful issue leaves for commit to read; but it emits issue and
-//     exec trace events and a pipeview issue, so with Obs, Rec or TraceFn
-//     attached any retry makes the pass busy. DoM's probe reads LFB fill
-//     timing, which no core event tracks → no skip
+//     exec trace events, so with the event ring (Obs) attached any retry
+//     makes the pass busy. DoM's probe reads LFB fill timing, which no
+//     core event tracks → no skip
 //   - dispatch: would-dispatch → no skip; stalled dispatch only burns the
 //     stall counter, and its unblocking is a commit/issue event seen above
 //   - fetch:    resumes at fetchStallTo when unblocked; a dead or sentinel

@@ -14,6 +14,7 @@ import (
 	"specasan/internal/core"
 	"specasan/internal/isa"
 	"specasan/internal/mte"
+	"specasan/internal/obs"
 )
 
 // specV1Shape builds a bounds-check gadget with a controllable index. The
@@ -73,13 +74,13 @@ func buildSpecV1(t *testing.T, mit core.Mitigation) *Machine {
 // mismatched on the correct path.
 func TestG1UnsafeAccessDelayedThenFaults(t *testing.T) {
 	m := buildSpecV1(t, core.SpecASan)
-	var sawUnsafe bool
-	m.Core(0).TraceFn = func(f string, a ...any) {
-		if strings.Contains(f, "tcs=unsafe") {
-			sawUnsafe = true
-		}
-	}
+	tr := obs.NewTracer(1, 0)
+	m.AttachObs(tr, nil)
 	res := m.Run(1_000_000)
+	sawUnsafe := false
+	for _, ev := range tr.Core(0).Events() {
+		sawUnsafe = sawUnsafe || ev.Kind == obs.EvTagDelayStart
+	}
 	if !sawUnsafe {
 		t.Error("the speculative mismatched load must pass through tcs=unsafe")
 	}

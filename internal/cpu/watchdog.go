@@ -248,8 +248,9 @@ var stateNames = map[entryState]string{
 
 // StallSnapshot renders the core's current in-flight window in pipeview
 // style: front-end state, queue occupancy, and one line per ROB entry from
-// head to tail. Unlike the Recorder it needs no prior attachment, so it can
-// capture a pipeline that wedged before anyone thought to record it.
+// head to tail. Unlike the event ring's timeline (obs.Pipeview) it needs no
+// tracer attached before the run, so it can capture a pipeline that wedged
+// before anyone thought to record it.
 func (c *Core) StallSnapshot() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "core %d @cycle %d: fetchPC=%#x stallTo=%d blockedBy=%d fetchQ=%d\n",

@@ -1,11 +1,14 @@
 package fuzzer
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 
+	"specasan/internal/asm"
 	"specasan/internal/attacks"
 	"specasan/internal/scenario"
 )
@@ -98,18 +101,53 @@ func (p *PoC) Write(dir string) (string, error) {
 	return jsonPath, nil
 }
 
-// ReadPoC loads one emitted document.
+// ReadPoC loads one emitted document (see ParsePoC).
 func ReadPoC(path string) (*PoC, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var p PoC
-	if err := json.Unmarshal(data, &p); err != nil {
+	p, err := ParsePoC(data)
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	return p, nil
+}
+
+// ParsePoC decodes a PoC document strictly (an unknown field anywhere or
+// trailing data is an error) and validates what a replay would run: the
+// schema, the embedded scenario (scenario.Validate), the setup
+// (attacks.SetupSpec.Validate), and the source, which must assemble and
+// define the label its RSB poisoning names.
+func ParsePoC(data []byte) (*PoC, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var p PoC
+	if err := dec.Decode(&p); err != nil {
+		return nil, err
+	}
+	if dec.More() {
+		return nil, errors.New("trailing data after document")
+	}
 	if p.Schema != PoCSchema {
-		return nil, fmt.Errorf("%s: schema %q (want %q)", path, p.Schema, PoCSchema)
+		return nil, fmt.Errorf("schema %q (want %q)", p.Schema, PoCSchema)
+	}
+	if p.Scenario != nil {
+		if err := p.Scenario.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	if err := p.Setup.Validate(); err != nil {
+		return nil, err
+	}
+	prog, err := asm.Assemble(p.Source)
+	if err != nil {
+		return nil, fmt.Errorf("source: %w", err)
+	}
+	if l := p.Setup.PoisonRSBLabel; l != "" {
+		if _, err := prog.LookupLabel(l); err != nil {
+			return nil, fmt.Errorf("setup: %w", err)
+		}
 	}
 	return &p, nil
 }

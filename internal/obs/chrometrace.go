@@ -101,42 +101,37 @@ func BuildChromeTrace(tr *Tracer) *ChromeTrace {
 	return ct
 }
 
+// kindTrack places each event kind on its core's stage track.
+var kindTrack = [numEventKinds]int{
+	EvFetch: TrackFetch, EvDispatch: TrackDispatch, EvIssue: TrackIssue, EvExec: TrackExec,
+	EvMem: TrackMem, EvCommit: TrackCommit, EvSquash: TrackSquash,
+	EvTagDelayStart: TrackTagDelay, EvTagDelayEnd: TrackTagDelay, EvLFBStall: TrackLFB,
+	EvRiskMark: TrackRisk, EvRiskClear: TrackRisk,
+}
+
 // chromeFromEvent maps one ring event to its trace-event record. Events
 // that carry a duration (EvCommit: issue→commit; EvTagDelayEnd: the held
-// window; EvLFBStall: the fill wait) become "X" spans starting Arg cycles
-// before the recorded cycle; everything else is an instant.
+// window; EvLFBStall: the fill wait) become "X" spans ending at the
+// recorded cycle (the LFB stall starts there); everything else is an
+// instant, with its Arg shown where it carries one.
 func chromeFromEvent(pid int, ev Event) ChromeEvent {
-	args := &ChromeArgs{Seq: ev.Seq, PC: fmt.Sprintf("0x%x", ev.PC)}
+	ce := ChromeEvent{Name: ev.Kind.String(), Ph: "i", Ts: ev.Cycle, S: "t", Pid: pid, Tid: kindTrack[ev.Kind],
+		Args: &ChromeArgs{Seq: ev.Seq, PC: fmt.Sprintf("0x%x", ev.PC)}}
 	switch ev.Kind {
 	case EvCommit:
-		return ChromeEvent{
-			Name: "inflight", Ph: "X", Ts: ev.Cycle - ev.Arg, Dur: spanDur(ev.Arg),
-			Pid: pid, Tid: TrackCommit, Args: args,
-		}
+		lat := ev.IssueToCommit()
+		ce.Name, ce.Ph, ce.S, ce.Ts, ce.Dur = "inflight", "X", "", ev.Cycle-lat, spanDur(lat)
+		ce.Args.Arg = ev.Cycle - ev.Completed() // cycles done but not yet retired
 	case EvTagDelayEnd:
-		args.Arg = ev.Arg
-		return ChromeEvent{
-			Name: "tag-delay", Ph: "X", Ts: ev.Cycle - ev.Arg, Dur: spanDur(ev.Arg),
-			Pid: pid, Tid: TrackTagDelay, Args: args,
-		}
+		ce.Name, ce.Ph, ce.S, ce.Ts, ce.Dur = "tag-delay", "X", "", ev.Cycle-ev.Arg, spanDur(ev.Arg)
+		ce.Args.Arg = ev.Arg
 	case EvLFBStall:
-		args.Arg = ev.Arg
-		return ChromeEvent{
-			Name: "lfb-stall", Ph: "X", Ts: ev.Cycle, Dur: spanDur(ev.Arg),
-			Pid: pid, Tid: TrackLFB, Args: args,
-		}
-	case EvMem:
-		args.Arg = ev.Arg // stripped address
-		return ChromeEvent{
-			Name: ev.Kind.String(), Ph: "i", Ts: ev.Cycle, S: "t",
-			Pid: pid, Tid: TrackMem, Args: args,
-		}
-	default:
-		return ChromeEvent{
-			Name: ev.Kind.String(), Ph: "i", Ts: ev.Cycle, S: "t",
-			Pid: pid, Tid: instantTrack(ev.Kind), Args: args,
-		}
+		ce.Ph, ce.S, ce.Dur = "X", "", spanDur(ev.Arg)
+		ce.Args.Arg = ev.Arg
+	case EvMem, EvTagDelayStart, EvSquash:
+		ce.Args.Arg = ev.Arg // stripped address, key<<4|lock, mispredicted branch
 	}
+	return ce
 }
 
 // spanDur keeps zero-length spans visible: Perfetto drops dur=0 slices.
@@ -145,27 +140,6 @@ func spanDur(d uint64) uint64 {
 		return 1
 	}
 	return d
-}
-
-func instantTrack(k EventKind) int {
-	switch k {
-	case EvFetch:
-		return TrackFetch
-	case EvDispatch:
-		return TrackDispatch
-	case EvIssue:
-		return TrackIssue
-	case EvExec:
-		return TrackExec
-	case EvSquash:
-		return TrackSquash
-	case EvTagDelayStart:
-		return TrackTagDelay
-	case EvRiskMark, EvRiskClear:
-		return TrackRisk
-	default:
-		return TrackExec
-	}
 }
 
 // WriteChromeTrace serialises the tracer as Chrome trace-event JSON.

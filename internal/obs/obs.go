@@ -2,8 +2,10 @@
 // per-core event trace of each instruction's pipeline lifecycle (plus the
 // SpecASan-specific events the paper's argument turns on — tag-check delays,
 // LFB stalls, risk marks), a metrics registry of labelled histograms layered
-// on internal/stats, and exporters for Chrome trace-event JSON and a JSONL
-// metrics stream.
+// on internal/stats, and the views over them: Chrome trace-event JSON, a
+// one-line-per-event text listing, a pipeline timeline and a JSONL metrics
+// stream. The event ring is the detailed core's only observer; every view
+// reads it after the run.
 //
 // The design contract mirrors gem5's --debug-flags machinery: hooks in
 // internal/cpu and internal/cache are nil-guarded pointers, so a simulator
@@ -12,6 +14,8 @@
 // preallocated ring buffer — still allocation-free in steady state, so the
 // trace can stay attached for the whole run.
 package obs
+
+import "math"
 
 // EventKind identifies one pipeline or policy event.
 type EventKind uint8
@@ -30,13 +34,20 @@ const (
 	EvExec
 	// EvMem: issued a data-side cache access. Arg is the stripped address.
 	EvMem
-	// EvCommit: retired architecturally. Arg is the issue-to-commit latency
-	// in cycles (0 when the instruction never passed through issue).
+	// EvCommit: retired architecturally. Arg packs two waits (CommitArg):
+	// the issue-to-commit latency in its low 32 bits and the
+	// completion-to-commit wait in its high 32 (see IssueToCommit and
+	// Completed).
 	EvCommit
-	// EvSquash: flushed from the pipeline before commit.
+	// EvSquash: flushed from the pipeline before commit. Arg is the
+	// sequence number of the branch whose mispredicted resolution squashed
+	// it, 0 for any other squash (a fault, a memory-order replay, an
+	// injected flush).
 	EvSquash
 	// EvTagDelayStart: SpecASan held an unsafe speculative access (SSA=0);
-	// the ROB entry waits for speculation to resolve.
+	// the ROB entry waits for speculation to resolve. Arg is the pointer's
+	// key and the granule's lock as two hex digits, key<<4 | lock (0xab:
+	// key 0xa, lock 0xb).
 	EvTagDelayStart
 	// EvTagDelayEnd: the delayed access replayed. Arg is the delay in cycles.
 	EvTagDelayEnd
@@ -84,6 +95,18 @@ type Event struct {
 	Arg   uint64
 	Kind  EventKind
 }
+
+// CommitArg packs an EvCommit's Arg. Both waits fit 32 bits: the watchdog
+// stops a run whose ROB head stalls, so no instruction waits that long.
+func CommitArg(issueToCommit, completeToCommit uint64) uint64 {
+	return issueToCommit | completeToCommit<<32
+}
+
+// IssueToCommit returns an EvCommit's issue-to-commit latency.
+func (ev Event) IssueToCommit() uint64 { return ev.Arg & math.MaxUint32 }
+
+// Completed returns the cycle an EvCommit's instruction completed.
+func (ev Event) Completed() uint64 { return ev.Cycle - ev.Arg>>32 }
 
 // CoreTrace is a bounded single-writer ring buffer of events for one core.
 // The simulator ticks each core from a single goroutine, so recording needs
