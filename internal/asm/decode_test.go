@@ -115,7 +115,8 @@ func TestDecodedRecord(t *testing.T) {
 		{"GMI X1, X2, X3", "X2 X3", "X1"},
 		{"STG X1, [X2]", "X1 X2", "-"},
 		{"ST2G X1, [X2]", "X1 X2", "-"},
-		{"LDG X1, [X2]", "X2 X0", "X1"},
+		{"LDG X1, [X2]", "X2 X1", "X1"},
+		{"LDG X1, [X1]", "X1", "X1"},
 		{"MRS X1, CNTVCT_EL0", "-", "X1"},
 		{"DC CIVAC, X1", "X1", "-"},
 		{"DSB SY", "-", "-"},

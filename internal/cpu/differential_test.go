@@ -156,6 +156,16 @@ _start:
 buf:
     .space 64
 `)
+	// LDG merges the tag into Xt, so Xt is a source: here it is still in
+	// flight from the ADR when the LDG executes.
+	f.Add(`
+_start:
+    ADR X1, probe
+    MOV X13, 1
+    LDG X1, [X0]
+    SVC #0
+probe:
+`)
 	// Page-boundary MTE case: buf places its first granule in the last 16
 	// bytes of a 4 KiB page, so the ST2G straddles the page boundary and the
 	// second access lands on the next page's tag sidecar.

@@ -134,11 +134,12 @@ func (d DiskCellStore) GetCell(resultHash, bench, mitigation string) (*CellResul
 
 // GetCellBytes returns a cached cell's encoded CellResult, the bytes PutCell
 // stored and the store's checksum verified, without decoding them into a
-// CellResult. The payload must be valid JSON (GetJSON quarantines one that
-// is not), and it must name the requested cell: it must begin with
-// cellPrefix. An entry from another schema generation, or one filed under
-// the wrong key (or a key collision, however unlikely), reads as a miss,
-// not as someone else's result.
+// CellResult. The payload must be canonical JSON, as json.Marshal wrote it
+// (GetJSON quarantines a payload that is not JSON, and reads valid JSON in
+// another form as a miss, which the cell's next run overwrites), and it
+// must name the requested cell: it must begin with cellPrefix. An entry from another
+// schema generation, or one filed under the wrong key (or a key collision,
+// however unlikely), reads as a miss, not as someone else's result.
 func (d DiskCellStore) GetCellBytes(resultHash, bench, mitigation string) ([]byte, bool) {
 	var payload json.RawMessage
 	ok, err := d.S.GetJSON(d.key(resultHash, bench, mitigation), &payload)
@@ -148,17 +149,37 @@ func (d DiskCellStore) GetCellBytes(resultHash, bench, mitigation string) ([]byt
 	return payload, true
 }
 
+// HasCell reports whether the cell has a store entry, without reading it or
+// counting a lookup: GetCellBytes can still miss on an entry it reports.
+func (d DiskCellStore) HasCell(resultHash, bench, mitigation string) bool {
+	return d.S.Has(d.key(resultHash, bench, mitigation))
+}
+
 // cellPrefix is how json.Marshal begins every CellResult of the cell: the
 // struct's first three fields, under the same tags, in the same order.
 func cellPrefix(bench, mitigation string) []byte {
-	// Marshalling three strings cannot fail.
-	b, _ := json.Marshal(struct {
-		Schema     string `json:"schema"`
-		Bench      string `json:"bench"`
-		Mitigation string `json:"mitigation"`
-	}{CellSchema, bench, mitigation})
-	b[len(b)-1] = ','
-	return b
+	b := make([]byte, 0, 64+len(bench)+len(mitigation))
+	b = append(b, `{"schema":"`+CellSchema+`","bench":`...)
+	b = appendJSONString(b, bench)
+	b = append(b, `,"mitigation":`...)
+	b = appendJSONString(b, mitigation)
+	return append(b, ',')
+}
+
+// appendJSONString appends s as json.Marshal encodes a string. Strings of
+// printable ASCII without quotes, backslashes or HTML metacharacters, such
+// as every registered benchmark and mitigation name, need no escaping;
+// json.Marshal encodes any other.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // marshalling a string cannot fail
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // PutCell persists a cell result; errors (read-only store, full disk) are

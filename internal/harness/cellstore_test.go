@@ -374,3 +374,62 @@ func TestCellEntryIdentityByPrefix(t *testing.T) {
 		t.Error("quarantined entry still decodes as a hit")
 	}
 }
+
+// cellPrefix spells out json.Marshal's encoding, escapes included, for any
+// names a caller passes.
+func TestCellPrefixMatchesMarshal(t *testing.T) {
+	for _, name := range []string{"", "505.mcf_r", "SpecASan+CFI", `a"b\c`, "<&>", "tab\there", "line sep", "café", "del\x7f", "bad\xffutf8"} {
+		want, err := json.Marshal(struct {
+			Schema     string `json:"schema"`
+			Bench      string `json:"bench"`
+			Mitigation string `json:"mitigation"`
+		}{CellSchema, name, name + "-mit"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[len(want)-1] = ','
+		if got := cellPrefix(name, name+"-mit"); !bytes.Equal(got, want) {
+			t.Errorf("cellPrefix(%q) = %s, want %s", name, got, want)
+		}
+	}
+}
+
+// A stored payload that is valid JSON but not json.Marshal's encoding of it
+// cannot be served as it is: it reads as a miss, the cell simulates again,
+// and the fresh result overwrites the entry.
+func TestNonCanonicalEntryResimulatedAndOverwritten(t *testing.T) {
+	cs, _ := testStore(t)
+	spec := workloads.ByName("511.povray_r")
+	opt := cacheOpts(t, cs)
+	if _, _, err := RunCell(spec, core.Unsafe, opt); err != nil {
+		t.Fatal(err)
+	}
+	k := cs.key(opt.ResultHash, spec.Name, core.Unsafe.String())
+	stored, ok, err := cs.S.Get(k)
+	if !ok || err != nil {
+		t.Fatalf("cold run left no entry: %v", err)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, stored, "", " "); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.S.Put(k, indented.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if b, ok := cs.GetCellBytes(opt.ResultHash, spec.Name, core.Unsafe.String()); ok {
+		t.Fatalf("non-canonical entry served: %s", b)
+	}
+	puts := cs.S.Stats().Puts
+	if _, cached, err := RunCell(spec, core.Unsafe, opt); err != nil || cached {
+		t.Fatalf("run over a non-canonical entry: cached=%v err=%v, want a fresh simulation", cached, err)
+	}
+	if got, _, _ := cs.S.Get(k); !bytes.Equal(got, stored) || cs.S.Stats().Puts != puts+1 {
+		t.Fatalf("entry not overwritten with the canonical result: %s", got)
+	}
+	if q := cs.S.Stats().Quarantined; q != 0 {
+		t.Fatalf("quarantined %d entries; a non-canonical one is valid, not corrupt", q)
+	}
+	if _, cached, err := RunCell(spec, core.Unsafe, opt); err != nil || !cached {
+		t.Fatalf("run after the overwrite: cached=%v err=%v, want a hit", cached, err)
+	}
+}

@@ -495,10 +495,15 @@ func (in *Inst) Srcs(dst []Reg) []Reg {
 	case CSEL:
 		add(in.Rn)
 		add(in.Rm)
-	case LDR, LDRB, LDG:
+	case LDR, LDRB:
 		add(in.Rn)
 		if !in.HasImm {
 			add(in.Rm)
+		}
+	case LDG:
+		add(in.Rn) // the address; LDG has no index register
+		if in.Rd != in.Rn {
+			add(in.Rd) // the tag merges into Xt's other bits
 		}
 	case STR, STRB:
 		add(in.Rd) // store data

@@ -354,3 +354,35 @@ func TestChaosCellCachedOnlyOnItsOwnHit(t *testing.T) {
 		t.Fatalf("warm chaos job reports %d of %d cells cached", cached, len(again.cells))
 	}
 }
+
+// With the budget held full, a job of five stored cells and one new cell is
+// shed before any entry is read: the stored cells cost a stat each and no
+// store lookup. With one slot free, the same job fits once its stored cells
+// are counted, and is read and admitted.
+func TestShedBeforeReadingCells(t *testing.T) {
+	six := strings.Replace(fiveDoc, `"workloads"`, `"mitigations": ["Unsafe", "SpecBarrier", "STT", "GhostMinion", "SpecASan", "MTE"], "workloads"`, 1)
+	for _, held := range []int{5, 4} {
+		s, ts := newTestServer(t, Config{StoreDir: t.TempDir(), Workers: 1, QueueDepth: 5})
+		submitWait(t, ts, fiveDoc) // stores the five cells
+		occupy(t, s, held)
+		st0 := s.Store().Stats()
+		j, herr := s.Submit([]byte(six), "six")
+		st := s.Store().Stats()
+		hits, misses := st.Hits-st0.Hits, st.Misses-st0.Misses
+		if held == 5 {
+			if herr == nil || herr.Status != http.StatusTooManyRequests {
+				t.Fatalf("six-cell job with the budget full: %+v, want 429", herr)
+			}
+			if hits != 0 || misses != 0 {
+				t.Fatalf("shed job looked cells up: hits +%d misses +%d", hits, misses)
+			}
+			continue
+		}
+		if herr != nil {
+			t.Fatalf("six-cell job with one slot free: %v", herr)
+		}
+		if cached, _ := j.cacheSummary(); cached != 5 || hits != 5 || misses != 1 {
+			t.Fatalf("admitted job: %d cells answered at admission, hits +%d misses +%d, want 5, +5, +1", cached, hits, misses)
+		}
+	}
+}

@@ -26,6 +26,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -127,10 +128,39 @@ type CellOutcome struct {
 	Error      string `json:"error,omitempty"`
 	// Perf is the cell's encoded harness.CellResult: a stored cell's
 	// verified store payload, or a cold cell's json.Marshal(CellResultOf(r)),
-	// the bytes PutCell stores.
+	// the bytes PutCell stores. Either is canonical JSON, which the
+	// document's encoding splices in as it is. Perf and Chaos must stay the
+	// last two serialized fields, in this order (appendJSON relies on it).
 	Perf   json.RawMessage   `json:"perf,omitempty"`
 	Chaos  *chaos.CellRecord `json:"chaos,omitempty"`
 	cached bool              // not serialized; aggregated into headers/stats
+}
+
+// cellJSON is CellOutcome without appendJSON: encoding/json's encoding of
+// the cell, which compacts Perf again.
+type cellJSON CellOutcome
+
+// appendJSON appends the cell's JSON encoding, byte for byte what
+// encoding/json writes for it, but with a perf payload appended as it is
+// instead of being scanned and compacted again: a cell's Perf is canonical
+// JSON, so compacting it would change nothing.
+func (c *CellOutcome) appendJSON(b []byte) ([]byte, error) {
+	p := cellJSON(*c)
+	if len(p.Perf) == 0 || p.Chaos != nil {
+		cb, err := json.Marshal(&p)
+		return append(b, cb...), err
+	}
+	perf := p.Perf
+	p.Perf = nil
+	cb, err := json.Marshal(&p)
+	if err != nil {
+		return b, err
+	}
+	// Perf is the last field this cell has: reopen the object for it.
+	b = append(b, cb[:len(cb)-1]...)
+	b = append(b, `,"perf":`...)
+	b = append(b, perf...)
+	return append(b, '}'), nil
 }
 
 // ResultDoc is a completed job's deterministic result document.
@@ -143,19 +173,47 @@ type ResultDoc struct {
 	Cells        []CellOutcome `json:"cells"`
 }
 
+// MarshalJSON encodes the document byte for byte as encoding/json would
+// without this method, but splices each cell's perf payload in as it is
+// (see CellOutcome.appendJSON). Cells must stay the last field.
+func (d ResultDoc) MarshalJSON() ([]byte, error) {
+	type plain ResultDoc
+	head := plain(d)
+	head.Cells = nil
+	b, err := json.Marshal(&head)
+	if err != nil || d.Cells == nil {
+		return b, err
+	}
+	b = append(bytes.TrimSuffix(b, []byte("null}")), '[')
+	for i := range d.Cells {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if b, err = d.Cells[i].appendJSON(b); err != nil {
+			return nil, err
+		}
+	}
+	return append(b, "]}"...), nil
+}
+
 // job tracks one admitted scenario through its cells.
 type job struct {
 	id       string
 	scn      *scenario.Scenario
 	kind     string
+	hash     string // scn.Hash(), computed once
+	resHash  string // scn.ResultHash(), computed once
 	deadline time.Time
 	finished int // cells with a final outcome
 	cells    []CellOutcome
 	// run is index-aligned with cells: the runner of each cell that must
 	// simulate, nil for a cell answered at admission. Dropped once the job
 	// is done.
-	run  []func() CellOutcome
-	done chan struct{}
+	run []func() CellOutcome
+	// stored is index-aligned with cells: whether admission looks the cell
+	// up in the store (a cacheable perf cell on a server with a store).
+	stored []bool
+	done   chan struct{}
 }
 
 type counters struct {
@@ -238,6 +296,8 @@ func (s *Server) Store() *store.Store { return s.store }
 // Stored cells are answered here, from the store's verified bytes; only the
 // cells that must simulate count against the queue budget and go to the
 // workers. A job whose every cell is stored is done before Submit returns.
+// A job that cannot fit the budget even if every cell with an entry file
+// hits is shed before any entry is read.
 func (s *Server) Submit(doc []byte, label string) (*job, *HTTPError) {
 	scn, err := scenario.Parse(doc, label, "submitted")
 	if err != nil {
@@ -247,25 +307,27 @@ func (s *Server) Submit(doc []byte, label string) (*job, *HTTPError) {
 	if err != nil {
 		return nil, &HTTPError{Status: http.StatusBadRequest, Msg: err.Error()}
 	}
+	if herr := s.shedUnstored(j); herr != nil {
+		return nil, herr
+	}
+	disk := harness.DiskCellStore{S: s.store}
 	var misses []int
-	for i, run := range j.run {
-		if run != nil {
+	for i := range j.cells {
+		c := &j.cells[i]
+		if j.stored[i] {
+			c.Perf, c.cached = disk.GetCellBytes(j.resHash, c.Bench, c.Mitigation)
+		}
+		if c.cached {
+			j.run[i] = nil
+		} else {
 			misses = append(misses, i)
 		}
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining {
-		return nil, &HTTPError{Status: http.StatusServiceUnavailable, Msg: "server is draining"}
-	}
-	if s.pending+len(misses) > s.cfg.QueueDepth {
-		s.n.JobsRejected++
-		return nil, &HTTPError{
-			Status:     http.StatusTooManyRequests,
-			Msg:        fmt.Sprintf("queue full: %d cells pending, job needs %d, budget %d", s.pending, len(misses), s.cfg.QueueDepth),
-			RetryAfter: s.retryAfterLocked(),
-		}
+	if herr := s.refuseLocked(len(misses)); herr != nil {
+		return nil, herr
 	}
 	s.seq++
 	j.id = fmt.Sprintf("job-%d", s.seq)
@@ -283,6 +345,46 @@ func (s *Server) Submit(doc []byte, label string) (*job, *HTTPError) {
 	}
 	s.logf("job %s: scenario %q (%s), %d cells admitted, %d from the store", j.id, j.scn.Name, j.kind, len(j.cells), j.finished)
 	return j, nil
+}
+
+// shedUnstored refuses j before any of its cells is read when the whole job
+// would not fit the queue budget and its cells without an entry file (a
+// stat each, counted as no lookup) do not fit either. An entry file can
+// still fail verification, so Submit's check after the reads stays.
+func (s *Server) shedUnstored(j *job) *HTTPError {
+	s.mu.Lock()
+	fits := s.pending+len(j.cells) <= s.cfg.QueueDepth
+	s.mu.Unlock()
+	if fits {
+		return nil
+	}
+	disk := harness.DiskCellStore{S: s.store}
+	unstored := 0
+	for i, c := range j.cells {
+		if !j.stored[i] || !disk.HasCell(j.resHash, c.Bench, c.Mitigation) {
+			unstored++
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.refuseLocked(unstored)
+}
+
+// refuseLocked answers a job whose cells need queue slots: 503 while
+// draining, 429 when they do not fit the budget, else nil.
+func (s *Server) refuseLocked(need int) *HTTPError {
+	if s.draining {
+		return &HTTPError{Status: http.StatusServiceUnavailable, Msg: "server is draining"}
+	}
+	if s.pending+need > s.cfg.QueueDepth {
+		s.n.JobsRejected++
+		return &HTTPError{
+			Status:     http.StatusTooManyRequests,
+			Msg:        fmt.Sprintf("queue full: %d cells pending, job needs %d, budget %d", s.pending, need, s.cfg.QueueDepth),
+			RetryAfter: s.retryAfterLocked(),
+		}
+	}
+	return nil
 }
 
 // completeLocked marks j done once its last cell is final: its runners are
@@ -315,8 +417,8 @@ func (s *Server) retryAfterLocked() int {
 	return secs
 }
 
-// buildJob expands the scenario into cells, fills in each stored perf cell
-// from the store, and binds a runner to every other cell.
+// buildJob expands the scenario into cells, binds a runner to every cell,
+// and marks the perf cells admission looks up in the store.
 func (s *Server) buildJob(scn *scenario.Scenario) (*job, error) {
 	if limit := max(s.cfg.QueueDepth, maxJobCells); cellCount(scn, limit) > limit {
 		return nil, fmt.Errorf("scenario %q expands to more than %d cells, the most one job may hold", scn.Name, limit)
@@ -332,12 +434,14 @@ func (s *Server) buildJob(scn *scenario.Scenario) (*job, error) {
 			return nil, fmt.Errorf("scenario %q expands to no cells", scn.Name)
 		}
 		opt := scn.CampaignOptions()
+		j.hash, j.resHash = opt.ScenarioHash, opt.ResultHash
 		opt.Workers = 1 // the server's pool runs the cells
 		if s.store != nil {
 			opt.Store = chaos.DiskCampaignStore{S: s.store}
 		}
 		j.cells = make([]CellOutcome, len(cells))
 		j.run = make([]func() CellOutcome, len(cells))
+		j.stored = make([]bool, len(cells))
 		for i, c := range cells {
 			cell := CellOutcome{
 				Bench: c.Spec.Name, Mitigation: c.Mit.String(),
@@ -376,37 +480,31 @@ func (s *Server) buildJob(scn *scenario.Scenario) (*job, error) {
 		return nil, fmt.Errorf("scenario %q expands to no cells", scn.Name)
 	}
 	opt := harness.OptionsFromScenario(scn)
-	var disk harness.DiskCellStore
+	j.hash, j.resHash = opt.ScenarioHash, opt.ResultHash
 	if s.store != nil {
-		disk = harness.DiskCellStore{S: s.store}
-		opt.Store = putOnly{disk}
+		opt.Store = putOnly{harness.DiskCellStore{S: s.store}}
 	}
 	n := len(specs) * len(mits)
 	j.cells = make([]CellOutcome, 0, n)
 	j.run = make([]func() CellOutcome, 0, n)
+	j.stored = make([]bool, 0, n)
 	for _, spec := range specs {
 		for _, mit := range mits {
 			cell := CellOutcome{Bench: spec.Name, Mitigation: mit.String()}
-			// The cell's one store lookup, under RunCell's rule.
-			if opt.Cacheable(spec) {
-				cell.Perf, cell.cached = disk.GetCellBytes(opt.ResultHash, spec.Name, cell.Mitigation)
-			}
-			var run func() CellOutcome
-			if !cell.cached {
-				run = func() CellOutcome {
-					out := cell
-					r, _, err := harness.RunCell(spec, mit, opt)
-					if err == nil {
-						out.Perf, err = json.Marshal(harness.CellResultOf(r))
-					}
-					if err != nil {
-						out.Error = err.Error()
-					}
-					return out
-				}
-			}
 			j.cells = append(j.cells, cell)
-			j.run = append(j.run, run)
+			j.run = append(j.run, func() CellOutcome {
+				out := cell
+				r, _, err := harness.RunCell(spec, mit, opt)
+				if err == nil {
+					out.Perf, err = json.Marshal(harness.CellResultOf(r))
+				}
+				if err != nil {
+					out.Error = err.Error()
+				}
+				return out
+			})
+			// The cell's one store lookup, at admission, under RunCell's rule.
+			j.stored = append(j.stored, opt.Cacheable(spec))
 		}
 	}
 	return j, nil
@@ -546,11 +644,19 @@ func (j *job) result() *ResultDoc {
 	return &ResultDoc{
 		Schema:       ResultSchema,
 		Scenario:     j.scn.Name,
-		ScenarioHash: j.scn.Hash(),
-		ResultHash:   j.scn.ResultHash(),
+		ScenarioHash: j.hash,
+		ResultHash:   j.resHash,
 		Kind:         j.kind,
 		Cells:        j.cells,
 	}
+}
+
+// resultBody is what handleSweep answers a finished job with: the result
+// document's own encoding and the newline json.Encoder ends a value with.
+// The document goes to no encoder, which would scan and compact it again.
+func (j *job) resultBody() ([]byte, error) {
+	b, err := j.result().MarshalJSON()
+	return append(b, '\n'), err
 }
 
 // cacheSummary counts cached and failed cells (for headers and job status).
@@ -641,14 +747,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// Client went away; the job keeps running and stays pollable.
 		return
 	}
+	body, err := j.resultBody()
+	if err != nil {
+		writeError(w, &HTTPError{Status: http.StatusInternalServerError, Msg: err.Error()})
+		return
+	}
 	cached, failed := j.cacheSummary()
 	w.Header().Set("X-Job-Id", j.id)
 	w.Header().Set("X-Cache-Hits", fmt.Sprintf("%d/%d", cached, len(j.cells)))
-	status := http.StatusOK
 	if failed > 0 {
 		w.Header().Set("X-Failed-Cells", fmt.Sprintf("%d", failed))
 	}
-	writeJSON(w, status, j.result())
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 // handleJob reports one job's state, with the result document once done.

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"io"
 	"testing"
 )
@@ -9,8 +8,8 @@ import (
 var benchBody []byte
 
 // BenchmarkSubmitCached meters the service's cached path without HTTP: a
-// fully stored five-cell job (fiveDoc), from Submit to its encoded result
-// document, the body handleSweep answers with.
+// fully stored five-cell job (fiveDoc), from Submit to the body handleSweep
+// answers with (resultBody).
 func BenchmarkSubmitCached(b *testing.B) {
 	s, err := New(Config{StoreDir: b.TempDir(), Workers: 1, Log: io.Discard})
 	if err != nil {
@@ -33,7 +32,7 @@ func BenchmarkSubmitCached(b *testing.B) {
 		if cached, _ := j.cacheSummary(); cached != len(j.cells) {
 			b.Fatalf("%d of %d cells cached", cached, len(j.cells))
 		}
-		if benchBody, err = json.Marshal(j.result()); err != nil {
+		if benchBody, err = j.resultBody(); err != nil {
 			b.Fatal(err)
 		}
 	}

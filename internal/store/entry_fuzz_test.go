@@ -16,7 +16,9 @@ import (
 // header line, hashing to the header's sha256; anything else must be
 // ErrCorrupt, with the file moved out of the served path into quarantine.
 // The seed corpus (testdata/fuzz/FuzzStoreEntry) holds a valid entry, a
-// truncated one and one whose header declares a 2^62-byte payload.
+// truncated one, one whose header declares a 2^62-byte payload, two whose
+// header decodes right but is not the line Put writes (fields reordered,
+// spaces added), and one with a byte after its payload.
 func FuzzStoreEntry(f *testing.F) {
 	f.Fuzz(func(t *testing.T, entry []byte) {
 		s := mustOpen(t)

@@ -11,9 +11,18 @@
 //     that the next Open sweeps away — never a half-written entry under a
 //     served name.
 //   - Every entry carries its payload length and SHA-256 in a header line.
-//     A read that finds a truncated, oversized, bit-flipped, or mislabelled
-//     entry quarantines the file (moves it aside for postmortems) and
-//     reports a miss, so the caller re-simulates instead of trusting it.
+//     A read takes the whole file in one go, hashes everything after the
+//     first newline, and accepts the entry only if that line is byte for
+//     byte the header Put writes for this key, this length and this hash.
+//     A truncated, oversized, bit-flipped, mislabelled or re-encoded entry
+//     fails that comparison: the read quarantines the file (moves it aside
+//     for postmortems) and reports a miss, so the caller re-simulates
+//     instead of trusting it. No read decodes the header.
+//   - GetJSON into a json.RawMessage yields canonical JSON only (the bytes
+//     json.Marshal writes for the value). It scans a payload once: the
+//     Store remembers the SHA-256 of the payloads it has accepted as
+//     canonical JSON (a bounded set), and a later read of the same bytes,
+//     hashed anyway, skips the scan.
 //   - A store whose directory cannot be created or written degrades to
 //     read-only: gets still work (and still verify), puts return
 //     ErrReadOnly, and the caller keeps running without a cache.
@@ -24,7 +33,7 @@
 package store
 
 import (
-	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -33,8 +42,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -60,12 +69,6 @@ var ErrReadOnly = errors.New("store: read-only")
 // quarantined and the caller should treat the key as a miss.
 var ErrCorrupt = errors.New("store: corrupt entry")
 
-// keyPart validates the two halves of a Key: filesystem-safe, no path
-// tricks, non-empty, and never starting with a dot or dash (no hidden files,
-// no flag-lookalikes, and the temp prefix stays unforgeable). Callers derive
-// safe names with scenario.CellKey.
-var keyPart = regexp.MustCompile(`^[A-Za-z0-9_][A-Za-z0-9._-]*$`)
-
 // Key addresses one entry: Space is the result-context hash (which
 // run-semantics the entry was produced under), Name the cell key within it.
 type Key struct {
@@ -74,8 +77,8 @@ type Key struct {
 }
 
 func (k Key) check() error {
-	if !keyPart.MatchString(k.Space) || !keyPart.MatchString(k.Name) {
-		return fmt.Errorf("store: bad key %q/%q (want %s)", k.Space, k.Name, keyPart)
+	if !keyPart(k.Space) || !keyPart(k.Name) {
+		return fmt.Errorf("store: bad key %q/%q (want %s)", k.Space, k.Name, keyPartRule)
 	}
 	if k.Space == quarantineDir {
 		return fmt.Errorf("store: key space %q is reserved", k.Space)
@@ -83,16 +86,46 @@ func (k Key) check() error {
 	return nil
 }
 
+// keyPartRule is the shape keyPart accepts, as a regular expression.
+const keyPartRule = `^[A-Za-z0-9_][A-Za-z0-9._-]*$`
+
+// keyPart validates one half of a Key: filesystem-safe, no path tricks,
+// non-empty, and never starting with a dot or dash (no hidden files, no
+// flag-lookalikes, and the temp prefix stays unforgeable). Callers derive
+// safe names with scenario.CellKey. Such a part needs no escaping inside a
+// JSON string, which is what lets appendHeader write it verbatim.
+func keyPart(s string) bool {
+	if s == "" || s[0] == '.' || s[0] == '-' {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '_' || c == '.' || c == '-') {
+			return false
+		}
+	}
+	return true
+}
+
 // String renders the key as space/name.
 func (k Key) String() string { return k.Space + "/" + k.Name }
 
-// header is the first line of every entry file.
-type header struct {
-	Schema string `json:"schema"`
-	Space  string `json:"space"`
-	Name   string `json:"name"`
-	Len    int64  `json:"len"`
-	SHA256 string `json:"sha256"`
+// appendHeader appends the first line of the entry Put writes for a payload
+// of n bytes hashing to sum under k, newline included. The line is a JSON
+// object with the fields schema, space, name, len and sha256 (hex), in that
+// order and without spaces, as json.Marshal writes such a struct; a valid
+// key needs no escaping, so the line is spelled out here, and a read
+// compares bytes against it instead of decoding it.
+func appendHeader(b []byte, k Key, n int, sum *[sha256.Size]byte) []byte {
+	b = append(b, `{"schema":"`+Schema+`","space":"`...)
+	b = append(b, k.Space...)
+	b = append(b, `","name":"`...)
+	b = append(b, k.Name...)
+	b = append(b, `","len":`...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	b = append(b, `,"sha256":"`...)
+	b = hex.AppendEncode(b, sum[:])
+	return append(b, "\"}\n"...)
 }
 
 // Counters is a snapshot of the store's activity since Open.
@@ -112,6 +145,8 @@ type Store struct {
 	mu       sync.Mutex
 	readOnly bool
 	n        Counters
+
+	canonical digestSet // payloads GetJSON has accepted as canonical JSON
 }
 
 // Open prepares the store at root, creating the directory if needed and
@@ -215,71 +250,74 @@ func (s *Store) path(k Key) string {
 // mislabelled, wrong schema) is quarantined and reported as a miss with
 // ErrCorrupt, so callers can log it; they must re-simulate either way.
 func (s *Store) Get(k Key) (payload []byte, ok bool, err error) {
+	payload, _, ok, err = s.get(k)
+	return payload, ok, err
+}
+
+// get is Get, also returning the payload's SHA-256.
+func (s *Store) get(k Key) (payload []byte, sum [sha256.Size]byte, ok bool, err error) {
 	if err := k.check(); err != nil {
-		return nil, false, err
+		return nil, sum, false, err
 	}
 	f, err := os.Open(s.path(k))
 	if err != nil {
 		s.count(func(n *Counters) { n.Misses++ })
 		if os.IsNotExist(err) {
-			return nil, false, nil
+			return nil, sum, false, nil
 		}
-		return nil, false, fmt.Errorf("store: %w", err)
+		return nil, sum, false, fmt.Errorf("store: %w", err)
 	}
-	payload, verr := readEntry(f, k)
+	payload, sum, verr := readEntry(f, k)
 	f.Close()
 	if verr != nil {
 		s.quarantine(k, verr)
-		return nil, false, fmt.Errorf("%w: %s: %v", ErrCorrupt, k, verr)
+		return nil, sum, false, fmt.Errorf("%w: %s: %v", ErrCorrupt, k, verr)
 	}
 	s.count(func(n *Counters) { n.Hits++ })
-	return payload, true, nil
+	return payload, sum, true, nil
 }
 
-// readEntry parses and verifies one entry file against the key it was
-// opened under.
-func readEntry(f *os.File, k Key) ([]byte, error) {
-	r := bufio.NewReader(f)
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		return nil, fmt.Errorf("header: %v", err)
+// Has reports whether an entry file exists under k, without reading or
+// verifying it and without counting a hit or a miss: an entry it reports
+// can still read as a miss when Get verifies it.
+func (s *Store) Has(k Key) bool {
+	if k.check() != nil {
+		return false
 	}
-	var h header
-	if err := json.Unmarshal(line, &h); err != nil {
-		return nil, fmt.Errorf("header: %v", err)
-	}
-	if h.Schema != Schema {
-		return nil, fmt.Errorf("schema %q (want %q)", h.Schema, Schema)
-	}
-	if h.Space != k.Space || h.Name != k.Name {
-		return nil, fmt.Errorf("entry labelled %s/%s, filed under %s", h.Space, h.Name, k)
-	}
-	if h.Len < 0 {
-		return nil, fmt.Errorf("negative payload length %d", h.Len)
-	}
-	// The length comes from the entry itself: check it against the file
-	// before allocating it.
+	_, err := os.Stat(s.path(k))
+	return err == nil
+}
+
+// readEntry reads one entry file in a single read and verifies it against
+// the key it was opened under: everything after the first newline is the
+// payload, and the line before it must be exactly the header Put writes for
+// k, the payload's length and its SHA-256.
+func readEntry(f *os.File, k Key) (payload []byte, sum [sha256.Size]byte, err error) {
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("stat: %v", err)
+		return nil, sum, fmt.Errorf("stat: %v", err)
 	}
-	if left := fi.Size() - int64(len(line)); h.Len > left {
-		return nil, fmt.Errorf("payload truncated: header declares %d bytes, %d follow", h.Len, left)
+	// One byte over the size, so that the read ends at EOF.
+	b := make([]byte, fi.Size()+1)
+	n, err := io.ReadFull(f, b)
+	if err != io.ErrUnexpectedEOF {
+		if err == nil {
+			err = errors.New("entry grew while read")
+		}
+		return nil, sum, fmt.Errorf("read: %v", err)
 	}
-	payload := make([]byte, h.Len)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("payload truncated: %v", err)
+	b = b[:n]
+	i := bytes.IndexByte(b, '\n')
+	if i < 0 {
+		return nil, sum, errors.New("no header line")
 	}
-	// The declared length must account for the whole file: trailing bytes
-	// mean the header and payload disagree about what this entry is.
-	if _, err := r.ReadByte(); err == nil {
-		return nil, errors.New("trailing data after payload")
+	payload = b[i+1:]
+	sum = sha256.Sum256(payload)
+	var buf [256]byte
+	if want := appendHeader(buf[:0], k, len(payload), &sum); !bytes.Equal(b[:i+1], want) {
+		return nil, sum, fmt.Errorf("header %.200q is not %q", b[:i], string(want[:len(want)-1]))
 	}
-	sum := sha256.Sum256(payload)
-	if got := hex.EncodeToString(sum[:]); got != h.SHA256 {
-		return nil, fmt.Errorf("sha256 %s != header %s", got, h.SHA256)
-	}
-	return payload, nil
+	return payload, sum, nil
 }
 
 // quarantine moves a failed entry into the quarantine directory under a
@@ -334,17 +372,6 @@ func (s *Store) put(k Key, payload []byte) error {
 		return err
 	}
 	sum := sha256.Sum256(payload)
-	h := header{
-		Schema: Schema,
-		Space:  k.Space,
-		Name:   k.Name,
-		Len:    int64(len(payload)),
-		SHA256: hex.EncodeToString(sum[:]),
-	}
-	hb, err := json.Marshal(&h)
-	if err != nil {
-		return err
-	}
 	f, err := os.CreateTemp(dir, tmpPrefix+k.Name+"-")
 	if err != nil {
 		return err
@@ -355,7 +382,7 @@ func (s *Store) put(k Key, payload []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	if _, err := f.Write(append(hb, '\n')); err != nil {
+	if _, err := f.Write(appendHeader(nil, k, len(payload), &sum)); err != nil {
 		return cleanup(err)
 	}
 	if _, err := f.Write(payload); err != nil {
@@ -480,16 +507,68 @@ func (s *Store) Prune(maxBytes int64) (removed int, freed int64, err error) {
 // entries (quarantined inside Get) report ok=false; a payload that is not
 // valid JSON for v also quarantines and misses, because a structurally
 // unreadable entry must never masquerade as a result.
+//
+// Into a *json.RawMessage, GetJSON yields the payload only when it is
+// canonical JSON: exactly the bytes json.Marshal writes for it (compact,
+// HTML-escaped), so that a caller may splice it into encoder output as it
+// is. A valid payload in any other form is a plain miss, left in place for
+// the next Put to overwrite. The scan that decides this runs once per
+// payload per store: a payload whose SHA-256 the store has already accepted
+// skips it.
 func (s *Store) GetJSON(k Key, v any) (ok bool, err error) {
-	payload, ok, err := s.Get(k)
+	payload, sum, ok, err := s.get(k)
 	if !ok {
 		return false, err
+	}
+	if raw, isRaw := v.(*json.RawMessage); isRaw {
+		if !s.canonical.has(sum) {
+			canon, jerr := json.Marshal(json.RawMessage(payload))
+			if jerr != nil {
+				s.quarantine(k, jerr)
+				return false, fmt.Errorf("%w: %s: %v", ErrCorrupt, k, jerr)
+			}
+			if !bytes.Equal(canon, payload) {
+				return false, nil
+			}
+			s.canonical.add(sum)
+		}
+		*raw = payload
+		return true, nil
 	}
 	if jerr := json.Unmarshal(payload, v); jerr != nil {
 		s.quarantine(k, jerr)
 		return false, fmt.Errorf("%w: %s: %v", ErrCorrupt, k, jerr)
 	}
 	return true, nil
+}
+
+// digestSetSize bounds a digestSet: enough for every cell of a few full
+// figure sweeps, at 32 bytes a digest.
+const digestSetSize = 4096
+
+// digestSet is a set of SHA-256 digests that empties itself when full. The
+// zero value is empty and ready to use.
+type digestSet struct {
+	mu  sync.Mutex
+	set map[[sha256.Size]byte]struct{}
+}
+
+func (d *digestSet) has(sum [sha256.Size]byte) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	_, ok := d.set[sum]
+	return ok
+}
+
+func (d *digestSet) add(sum [sha256.Size]byte) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.set == nil {
+		d.set = make(map[[sha256.Size]byte]struct{})
+	} else if len(d.set) >= digestSetSize {
+		clear(d.set)
+	}
+	d.set[sum] = struct{}{}
 }
 
 // PutJSON marshals v and stores it under k.

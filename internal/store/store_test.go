@@ -2,14 +2,71 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 )
+
+// header is the decoded form of an entry's first line.
+type header struct {
+	Schema string `json:"schema"`
+	Space  string `json:"space"`
+	Name   string `json:"name"`
+	Len    int64  `json:"len"`
+	SHA256 string `json:"sha256"`
+}
+
+// appendHeader spells out json.Marshal's encoding of header, which is what
+// every entry written before it carries: entries stay readable across the
+// change, and an entry a JSON encoder wrote reads like one Put wrote.
+func TestHeaderIsJSONOfHeader(t *testing.T) {
+	for _, c := range []struct {
+		k       Key
+		payload string
+	}{
+		{k, `{"cycles":12345}`},
+		{Key{Space: "0123456789abcdef", Name: "505.mcf_r__SpecASan-1a2b3c4d"}, ""},
+		{Key{Space: "_", Name: "A.b-c_9"}, strings.Repeat("x", 123456)},
+	} {
+		sum := sha256.Sum256([]byte(c.payload))
+		want, err := json.Marshal(&header{Schema: Schema, Space: c.k.Space, Name: c.k.Name,
+			Len: int64(len(c.payload)), SHA256: hex.EncodeToString(sum[:])})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendHeader(nil, c.k, len(c.payload), &sum); string(got) != string(want)+"\n" {
+			t.Errorf("appendHeader(%s) = %s, want %s", c.k, got, want)
+		}
+	}
+}
+
+// keyPart accepts exactly the strings keyPartRule matches.
+func TestKeyPartMatchesRule(t *testing.T) {
+	rule := regexp.MustCompile(keyPartRule)
+	check := func(s string) {
+		if got, want := keyPart(s), rule.MatchString(s); got != want {
+			t.Errorf("keyPart(%q) = %v, rule says %v", s, got, want)
+		}
+	}
+	for _, s := range []string{"", "a\n", "\na", "é", "aé", "a\x00", "..", "./a", "a/b", "abc123", "505.mcf_r__SpecASan-deadbeef"} {
+		check(s)
+	}
+	for a := 0; a < 256; a++ {
+		check(string(rune(a)))
+		check(string([]byte{byte(a)}))
+		for b := 0; b < 256; b++ {
+			check(string([]byte{byte(a), byte(b)}))
+		}
+	}
+}
 
 func mustOpen(t *testing.T) *Store {
 	t.Helper()
@@ -65,6 +122,17 @@ func TestBadKeysRejected(t *testing.T) {
 		{Space: "a", Name: "x/y"},
 		{Space: quarantineDir, Name: "x"},
 		{Space: ".hidden", Name: "x"},
+		{Space: "a", Name: ".hidden"},
+		{Space: "-flag", Name: "x"},
+		{Space: "a", Name: "-flag"},
+		{Space: "a", Name: "x/"},
+		{Space: "/", Name: "x"},
+		{Space: "..", Name: "x"},
+		{Space: "a", Name: ".."},
+		{Space: "a", Name: "café"},
+		{Space: "é", Name: "x"},
+		{Space: "a", Name: "x y"},
+		{Space: "a", Name: "x\n"},
 	} {
 		if err := s.Put(bad, []byte("p")); err == nil {
 			t.Errorf("Put(%v) accepted", bad)
@@ -170,6 +238,40 @@ func TestTrailingDataQuarantinedAndMissed(t *testing.T) {
 	wantCorruptMiss(t, s, k)
 }
 
+// A header that decodes to the right fields but is not the exact line Put
+// writes (fields reordered, spaces added) is corrupt: reads compare the
+// line, they do not decode it.
+func TestReencodedHeaderQuarantinedAndMissed(t *testing.T) {
+	for name, reencode := range map[string]func(line []byte) []byte{
+		"reordered fields": func(line []byte) []byte {
+			var h header
+			if err := json.Unmarshal(line, &h); err != nil {
+				t.Fatal(err)
+			}
+			return []byte(fmt.Sprintf(`{"space":%q,"schema":%q,"name":%q,"len":%d,"sha256":%q}`, h.Space, h.Schema, h.Name, h.Len, h.SHA256))
+		},
+		"extra spaces": func(line []byte) []byte {
+			return bytes.ReplaceAll(line, []byte(`,"`), []byte(`, "`))
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := mustOpen(t)
+			if err := s.Put(k, []byte(`{"cycles":12345}`)); err != nil {
+				t.Fatal(err)
+			}
+			corrupt(t, s, k, func(b []byte) []byte {
+				line, payload, _ := bytes.Cut(b, []byte("\n"))
+				var h header
+				if err := json.Unmarshal(reencode(line), &h); err != nil || h.Len != int64(len(payload)) {
+					t.Fatalf("re-encoded header %s does not decode to the entry's: %v", reencode(line), err)
+				}
+				return append(append(reencode(line), '\n'), payload...)
+			})
+			wantCorruptMiss(t, s, k)
+		})
+	}
+}
+
 func TestMislabelledEntryQuarantinedAndMissed(t *testing.T) {
 	s := mustOpen(t)
 	other := Key{Space: k.Space, Name: "other-cell"}
@@ -198,6 +300,72 @@ func TestUnparsableJSONQuarantinedByGetJSON(t *testing.T) {
 	}
 	if _, err := os.Lstat(s.path(k)); !os.IsNotExist(err) {
 		t.Fatalf("garbage entry not quarantined")
+	}
+}
+
+// Into a json.RawMessage, GetJSON serves canonical JSON only, and scans a
+// payload once: a payload it accepted is remembered by its SHA-256, which
+// never vouches for different bytes later filed under the same key.
+func TestRawJSONScannedOncePerPayload(t *testing.T) {
+	s := mustOpen(t)
+	good := []byte(`{"cycles":12345,"output":"\u003cok\u003e"}`)
+	if err := s.Put(k, good); err != nil {
+		t.Fatal(err)
+	}
+	var raw json.RawMessage
+	if ok, err := s.GetJSON(k, &raw); !ok || err != nil || !bytes.Equal(raw, good) {
+		t.Fatalf("GetJSON = %q, %v, %v; want the stored bytes", raw, ok, err)
+	}
+	if !s.canonical.has(sha256.Sum256(good)) {
+		t.Fatal("accepted payload not remembered")
+	}
+
+	// A broken payload under the same key is still scanned and quarantined.
+	broken := good[:len(good)-1]
+	if err := s.Put(k, broken); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := s.GetJSON(k, &raw); ok || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("broken payload after a remembered one: ok=%v err=%v, want ErrCorrupt", ok, err)
+	}
+	if _, err := os.Lstat(s.path(k)); !os.IsNotExist(err) {
+		t.Fatal("broken payload not quarantined")
+	}
+
+	// Valid JSON in another form than json.Marshal's is a plain miss that
+	// stays in place until a Put overwrites it.
+	for _, other := range []string{`{"cycles": 12345}`, ` {"cycles":12345}`, `{"output":"<ok>"}`, "{\"output\":\"\u2028\"}"} {
+		if err := s.Put(k, []byte(other)); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := s.GetJSON(k, &raw); ok || err != nil {
+			t.Fatalf("GetJSON(%q) = %v, %v; want a plain miss", other, ok, err)
+		}
+		if _, err := os.Lstat(s.path(k)); err != nil {
+			t.Fatalf("non-canonical entry %q moved: %v", other, err)
+		}
+		var v map[string]any
+		if ok, err := s.GetJSON(k, &v); !ok || err != nil {
+			t.Fatalf("GetJSON(%q) into a map = %v, %v; want a hit", other, ok, err)
+		}
+	}
+	if q := s.Stats().Quarantined; q != 1 {
+		t.Fatalf("quarantined %d entries, want the broken one", q)
+	}
+}
+
+func TestDigestSetBounded(t *testing.T) {
+	var d digestSet
+	digest := func(i int) [sha256.Size]byte { return sha256.Sum256([]byte(fmt.Sprint(i))) }
+	for i := 0; i < digestSetSize; i++ {
+		d.add(digest(i))
+	}
+	if len(d.set) != digestSetSize || !d.has(digest(0)) || !d.has(digest(digestSetSize-1)) {
+		t.Fatalf("full set holds %d digests, want all %d", len(d.set), digestSetSize)
+	}
+	d.add(digest(digestSetSize))
+	if len(d.set) != 1 || d.has(digest(0)) || !d.has(digest(digestSetSize)) {
+		t.Fatalf("set past its bound holds %d digests, want only the newest", len(d.set))
 	}
 }
 
