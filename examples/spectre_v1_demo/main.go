@@ -38,15 +38,15 @@ type walkthrough struct {
 }
 
 // runPoC runs the Spectre-v1 PoC once under mit with the event ring
-// attached.
-func runPoC(mit core.Mitigation) (*walkthrough, error) {
+// attached, and met too when it is not nil.
+func runPoC(mit core.Mitigation, met *obs.Metrics) (*walkthrough, error) {
 	v := attacks.SpectrePHT().Variants[0]
 	sc, err := v.Build()
 	if err != nil {
 		return nil, err
 	}
 	tr := obs.NewTracer(1, 0)
-	_, m, res, err := attacks.RunScenario(v.Name, sc, mit, func(m *cpu.Machine) { m.AttachObs(tr, nil) })
+	_, m, res, err := attacks.RunScenario(v.Name, sc, mit, func(m *cpu.Machine) { m.AttachObs(tr, met) })
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +75,7 @@ func (w *walkthrough) blockingSequence() []obs.Event {
 }
 
 func show(mit core.Mitigation, trace bool) {
-	w, err := runPoC(mit)
+	w, err := runPoC(mit, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -15,7 +15,7 @@ import (
 // check resolves mispredicted and its squash ends the hold, and the oracle
 // sees no leak.
 func TestFigure5SpecASanHoldsTheSecretLoad(t *testing.T) {
-	w, err := runPoC(core.SpecASan)
+	w, err := runPoC(core.SpecASan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,23 +83,38 @@ func (w *walkthrough) transmits() bool {
 
 // TestFigure5WithoutSpecASanTheSecretLeaks pins the two baselines: neither
 // the unprotected core nor committed-path MTE withholds the secret from
-// the transmit, and the secret reaches the cache. (Under MTE the tag-state
-// handler still flags the mismatched load, so its ring shows a
-// tag-delay-start, but the load's data is returned.)
+// the transmit, and the secret reaches the cache. Neither records a
+// tag-check hold: MTE checks the mismatched load's tag but returns its
+// data, so its ring has no tag-delay-start, its unsafe_accesses counter
+// and tag-delay histogram stay empty, and its cycle count is that of a run
+// that held nothing.
 func TestFigure5WithoutSpecASanTheSecretLeaks(t *testing.T) {
-	for _, mit := range []core.Mitigation{core.Unsafe, core.MTE} {
-		w, err := runPoC(mit)
+	for _, tc := range []struct {
+		mit    core.Mitigation
+		cycles uint64
+	}{{core.Unsafe, 2805}, {core.MTE, 2807}} {
+		met := obs.NewMetrics(1)
+		w, err := runPoC(tc.mit, met)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, ev := range w.events {
-			if ev.Kind == obs.EvTagDelayStart && mit == core.Unsafe {
-				t.Fatalf("%v held seq %d", mit, ev.Seq)
+			if ev.Kind == obs.EvTagDelayStart {
+				t.Fatalf("%v held seq %d", tc.mit, ev.Seq)
 			}
+		}
+		if n := w.res.Stats.Get("unsafe_accesses"); n != 0 {
+			t.Fatalf("%v: unsafe_accesses = %d, want 0", tc.mit, n)
+		}
+		if n := met.Core(0).TagDelay.N; n != 0 {
+			t.Fatalf("%v: %d tag-delay samples, want 0", tc.mit, n)
+		}
+		if w.res.Cycles != tc.cycles {
+			t.Fatalf("%v: %d cycles, want %d", tc.mit, w.res.Cycles, tc.cycles)
 		}
 		if !w.transmits() || !w.m.Oracle.Leaked() {
 			t.Fatalf("%v: the secret must reach the transmit and leak (transmit %v, leaked %v)",
-				mit, w.transmits(), w.m.Oracle.Leaked())
+				tc.mit, w.transmits(), w.m.Oracle.Leaked())
 		}
 	}
 }

@@ -211,18 +211,13 @@ func AggregateVerdict(outs []*Outcome) Verdict {
 	}
 }
 
-// setupCommon plants the secret, tags the victim regions and marks the
-// oracle. Every PoC setup starts here.
+// setupCommon plants the secret, tags the victim regions, fills array1
+// with benign indices and marks the oracle: the Common setup alone, which
+// every PoC setup starts with.
 func setupCommon(m *cpu.Machine) {
-	m.Img.WriteU64(SecretAddr, SecretValue)
-	m.Img.Write(SecretAddr+8, []byte("SECRET!!"))
-	m.Img.Tags.SetRange(Array1Addr, Array1Size, TagVictim)
-	m.Img.Tags.SetRange(SecretAddr, SecretSize, TagSecret)
+	common := SetupSpec{Common: true}
+	common.ApplyImage(m.Img)
 	m.Oracle.MarkSecret(SecretAddr, SecretSize)
-	// Benign array1 contents: small in-bounds values.
-	for i := uint64(0); i < Array1Size; i += 8 {
-		m.Img.WriteU64(Array1Addr+i, i/8)
-	}
 }
 
 // All returns the Table 1 attack rows in presentation order.

@@ -142,14 +142,14 @@ func (s *SetupSpec) Validate() error {
 	return nil
 }
 
-// Apply performs the setup on a machine. prog resolves labels (RSB
-// poisoning); it must be the program the machine was built from.
+// Apply performs the setup on a machine: the image half through
+// ApplyImage, then the oracle mark and the RSB poisoning. prog resolves
+// labels (RSB poisoning); it must be the program the machine was built
+// from.
 func (s *SetupSpec) Apply(m *cpu.Machine, prog *asm.Program) error {
+	s.ApplyImage(m.Img)
 	if s.Common {
-		setupCommon(m)
-	}
-	for _, r := range s.Retag {
-		m.Img.Tags.SetRange(r.Addr, r.Size, mte.Tag(r.Tag))
+		m.Oracle.MarkSecret(SecretAddr, SecretSize)
 	}
 	if s.PoisonRSBLabel != "" {
 		target, err := prog.LookupLabel(s.PoisonRSBLabel)
@@ -165,9 +165,10 @@ func (s *SetupSpec) Apply(m *cpu.Machine, prog *asm.Program) error {
 	return nil
 }
 
-// ApplyImage replays the memory half of the setup (secret bytes, tags) onto
-// a bare image — the golden interpreter's view. Predictor poisoning and
-// oracle marks have no architectural effect and are skipped.
+// ApplyImage writes the memory half of the setup (secret bytes, array1
+// contents, tags) into an image: the machine's through Apply, the golden
+// interpreter's directly. Predictor poisoning and oracle marks have no
+// architectural effect and are left to Apply.
 func (s *SetupSpec) ApplyImage(img *mem.Image) {
 	if s.Common {
 		img.WriteU64(SecretAddr, SecretValue)

@@ -69,8 +69,6 @@ type robZero struct {
 	prefetched     bool // SpecASan STL rule: prefetch issued while delayed
 
 	// SpecASan.
-	ssaKnown bool
-	ssaSafe  bool
 	replayed bool
 
 	// Leak-oracle secret taint.
@@ -527,14 +525,13 @@ var robs recycle.Slices[robEntry]
 type tshROB struct{ c *Core }
 
 // SignalSSA implements core.ROBSignal: the TSH notifies the ROB of a
-// tag-check outcome (Figure 4 steps ④/⑥).
+// tag-check outcome (Figure 4 steps ④/⑥). Only speculative tag checks
+// hold an unsafe access; plain MTE returns its data and faults at commit.
 func (t tshROB) SignalSSA(seq uint64, safe bool) {
-	e := t.c.entry(seq)
-	if e == nil {
+	if safe || !t.c.specChecks {
 		return
 	}
-	e.ssaKnown, e.ssaSafe = true, safe
-	if !safe {
+	if e := t.c.entry(seq); e != nil {
 		t.c.onUnsafeAccess(e)
 	}
 }

@@ -123,58 +123,31 @@ double:
 	}
 }
 
-// diffAgainstGolden runs the same program on the OoO machine and the
-// reference interpreter and compares the final architectural state.
-func diffAgainstGolden(t *testing.T, mit core.Mitigation, src string, mteOn bool) {
+// diffGolden runs src on a machine built with cfg under mit and fails t on
+// every difference between core 0 and its golden twin.
+func diffGolden(t *testing.T, cfg core.Config, mit core.Mitigation, src string) {
 	t.Helper()
 	prog, err := asm.Assemble(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMachine(core.DefaultConfig(), mit, prog)
+	m, err := NewMachine(cfg, mit, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres := m.Run(5_000_000)
+	if res := m.Run(20_000_000); res.TimedOut {
+		t.Fatalf("timed out: %v", res)
+	}
+	ip := NewGolden(prog, mit.MTEEnabled(), 0)
+	checkGolden(t, m, ip, ip.Run(20_000_000))
+}
 
-	ip := golden.New(prog)
-	ip.MTEOn = mteOn
-	ip.TagSeed = TagSeedBase
-	gres := ip.Run(5_000_000)
-
-	if mres.TimedOut {
-		t.Fatalf("OoO timed out (golden: %v after %d insts)", gres.Reason, gres.Insts)
-	}
-	if gres.Reason == golden.StopTagFault {
-		if !mres.Faulted {
-			t.Fatalf("golden tag-faulted but OoO did not")
-		}
-		return
-	}
-	if mres.Faulted {
-		t.Fatalf("OoO faulted at %#x but golden exited cleanly", m.Core(0).FaultPC)
-	}
-	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		if r == isa.XZR {
-			continue
-		}
-		if got, want := m.Core(0).Reg(r), gres.Regs[r]; got != want {
-			t.Errorf("%v = %#x, want %#x", r, got, want)
-		}
-	}
-	if string(m.Core(0).Output) != string(gres.Output) {
-		t.Errorf("output = %q, want %q", m.Core(0).Output, gres.Output)
-	}
-	// Memory: golden and machine images must agree wherever golden wrote.
-	// (Both started from the same program data; compare a window around
-	// each data block.)
-	for _, d := range prog.Data {
-		for i := uint64(0); i < d.Len(); i++ {
-			a := d.Addr + i
-			if got, want := m.Img.ByteAt(a), ip.Mem.ByteAt(a); got != want {
-				t.Fatalf("mem[%#x] = %d, want %d", a, got, want)
-			}
-		}
+// checkGolden fails t with every difference between core 0 and its golden
+// twin ip, whose walk ended with res.
+func checkGolden(t *testing.T, m *Machine, ip *golden.Interp, res *golden.Result) {
+	t.Helper()
+	for _, d := range m.GoldenDiff(0, ip, res) {
+		t.Error(d)
 	}
 }
 
@@ -257,7 +230,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		for _, mit := range mits {
 			mit := mit
 			t.Run(fmt.Sprintf("seed%d/%v", seed, mit), func(t *testing.T) {
-				diffAgainstGolden(t, mit, src, mit.MTEEnabled())
+				diffGolden(t, core.DefaultConfig(), mit, src)
 			})
 		}
 	}
@@ -288,7 +261,7 @@ buf:
     .space 64
 `
 	for _, mit := range []core.Mitigation{core.Unsafe, core.SpecASan} {
-		diffAgainstGolden(t, mit, src, mit.MTEEnabled())
+		diffGolden(t, core.DefaultConfig(), mit, src)
 	}
 }
 

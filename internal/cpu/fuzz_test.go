@@ -15,43 +15,6 @@ import (
 	"specasan/internal/isa"
 )
 
-func diffConfig(t *testing.T, cfg core.Config, mit core.Mitigation, src string) {
-	t.Helper()
-	prog, err := asm.Assemble(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMachine(cfg, mit, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mres := m.Run(20_000_000)
-	if mres.TimedOut {
-		t.Fatalf("timed out: %v", mres)
-	}
-	ip := golden.New(prog)
-	ip.MTEOn = mit.MTEEnabled()
-	ip.TagSeed = TagSeedBase
-	gres := ip.Run(20_000_000)
-	if gres.Reason == golden.StopTagFault {
-		if !mres.Faulted {
-			t.Fatal("golden faulted, machine did not")
-		}
-		return
-	}
-	if mres.Faulted {
-		t.Fatalf("machine faulted at %#x, golden did not", m.Core(0).FaultPC)
-	}
-	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		if r == isa.XZR {
-			continue
-		}
-		if got, want := m.Core(0).Reg(r), gres.Regs[r]; got != want {
-			t.Errorf("%v = %#x, want %#x", r, got, want)
-		}
-	}
-}
-
 // TestDifferentialConfigCorners runs random programs on stressed pipeline
 // geometries: back-pressure paths (tiny ROB/IQ/LSQ), a scalar pipe, and the
 // prefetcher.
@@ -80,7 +43,7 @@ func TestDifferentialConfigCorners(t *testing.T) {
 				cfg := core.DefaultConfig()
 				c.tweak(&cfg)
 				for _, mit := range []core.Mitigation{core.Unsafe, core.SpecASan} {
-					diffConfig(t, cfg, mit, src)
+					diffGolden(t, cfg, mit, src)
 				}
 			})
 		}
@@ -130,16 +93,14 @@ loop:
 			t.Fatalf("timed out: %v", res)
 		}
 		for i := 0; i < 4; i++ {
-			ip := golden.New(prog)
-			ip.TagSeed = TagSeedBase + uint64(i)
-			ip.SetReg(isa.X0, uint64(i))
+			ip := NewGolden(prog, false, i)
 			ip.SetReg(isa.X7, 6364136223846793005)
 			g := ip.Run(50_000_000)
 			if g.Reason != golden.StopExit {
 				t.Fatalf("golden core %d: %v", i, g.Reason)
 			}
-			if got, want := m.Core(i).Reg(isa.X5), g.Regs[isa.X5]; got != want {
-				t.Errorf("core %d X5 = %#x, want %#x", i, got, want)
+			for _, d := range m.GoldenDiff(i, ip, g) {
+				t.Error(d)
 			}
 		}
 	}

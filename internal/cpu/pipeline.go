@@ -1040,7 +1040,10 @@ func (c *Core) commitEntry(e *robEntry) {
 	case isa.SVC:
 		c.commitSVC(e)
 	case isa.HLT:
+		// An exit like SVC #0: the golden interpreter reads X0 as the exit
+		// code of either.
 		c.Halted = true
+		c.ExitCode = c.cRegs[isa.X0]
 	}
 	if c.ghostOn && e.isLoad && e.memIssued {
 		c.hier.PromoteGhost(c.ID, e.addr, c.cycle)

@@ -13,79 +13,38 @@ import (
 	"specasan/internal/asm"
 	"specasan/internal/core"
 	"specasan/internal/golden"
-	"specasan/internal/isa"
 	"specasan/internal/workloads"
 )
 
-// goldenTo runs a fresh golden interpreter exactly n instructions.
-func goldenTo(t *testing.T, prog *asm.Program, mteOn bool, n uint64) *golden.Interp {
+// goldenTo runs core 0's golden twin exactly n instructions.
+func goldenTo(t *testing.T, prog *asm.Program, mteOn bool, n uint64) (*golden.Interp, *golden.Result) {
 	t.Helper()
-	ip := golden.New(prog)
-	ip.MTEOn = mteOn
-	ip.TagSeed = TagSeedBase
-	if res := ip.Run(n); res.Insts != n {
+	ip := NewGolden(prog, mteOn, 0)
+	res := ip.Run(n)
+	if res.Insts != n {
 		t.Fatalf("golden stopped early: %d/%d insts (%v)", res.Insts, n, res.Reason)
 	}
-	return ip
+	return ip, res
 }
 
 // diffMachineVsGolden compares a machine's committed architectural state at
-// the transplant point against a golden interpreter: registers, flags, fetch
-// PC, every mapped page's bytes, and the MTE tag store.
-func diffMachineVsGolden(t *testing.T, m *Machine, ip *golden.Interp) {
+// the transplant point with a golden walk stopped there: the fetch PC, then
+// everything GoldenDiff compares. After a run to halt only GoldenDiff
+// applies (checkGolden): the golden interpreter rests on its SVC #0 while
+// the machine's fetch has moved past it.
+func diffMachineVsGolden(t *testing.T, m *Machine, ip *golden.Interp, res *golden.Result) {
 	t.Helper()
-	c := m.Core(0)
-	if c.fetchPC != ip.PC() {
+	if c := m.Core(0); c.fetchPC != ip.PC() {
 		t.Errorf("fetchPC = %#x, golden %#x", c.fetchPC, ip.PC())
 	}
-	diffFinalState(t, m, ip)
-}
-
-// diffFinalState is diffMachineVsGolden minus the PC: after a run to halt
-// the golden interpreter rests on its SVC #0 while the machine's fetch has
-// moved past it, so only registers, flags, memory and tags must agree.
-func diffFinalState(t *testing.T, m *Machine, ip *golden.Interp) {
-	t.Helper()
-	c := m.Core(0)
-	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		if got, want := c.Reg(r), ip.Reg(r); got != want {
-			t.Errorf("%v = %#x, golden %#x", r, got, want)
-		}
-	}
-	if c.cFlags != flagsOf(ip) {
-		t.Errorf("flags = %+v, golden %+v", c.cFlags, flagsOf(ip))
-	}
-	pages := map[uint64]bool{}
-	for _, p := range m.Img.PageAddrs() {
-		pages[p] = true
-	}
-	for _, p := range ip.Mem.PageAddrs() {
-		pages[p] = true
-	}
-	for p := range pages {
-		for off := uint64(0); off < 4096; off += 8 {
-			if got, want := m.Img.ReadU64(p+off), ip.Mem.ReadU64(p+off); got != want {
-				t.Fatalf("mem[%#x] = %#x, golden %#x", p+off, got, want)
-			}
-		}
-	}
-	if d := m.Img.Tags.DiffGranules(ip.Mem.Tags); len(d) != 0 {
-		t.Fatalf("tag granules differ after transplant: %v", d)
-	}
-}
-
-// flagsOf snapshots the golden interpreter's flags via a zero-cost snapshot.
-func flagsOf(ip *golden.Interp) isa.Flags {
-	// Snapshot clones memory too; acceptable in tests, and the only exported
-	// flags accessor.
-	return ip.Snapshot().Flags
+	checkGolden(t, m, ip, res)
 }
 
 // transplantAt fast-forwards n instructions and builds the detailed machine
 // from the snapshot.
 func transplantAt(t *testing.T, prog *asm.Program, mit core.Mitigation, n uint64) (*Machine, *golden.Interp) {
 	t.Helper()
-	ip := goldenTo(t, prog, mit.MTEEnabled(), n)
+	ip, _ := goldenTo(t, prog, mit.MTEEnabled(), n)
 	m, err := NewMachineAt(core.DefaultConfig(), mit, prog, ip.Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -108,8 +67,8 @@ func TestTransplantExactness(t *testing.T) {
 		for _, n := range []uint64{1, 2, 7, 63, 1000, 4097, 50_000} {
 			t.Run(fmt.Sprintf("%v/n=%d", mit, n), func(t *testing.T) {
 				m, _ := transplantAt(t, prog, mit, n)
-				ref := goldenTo(t, prog, mit.MTEEnabled(), n)
-				diffMachineVsGolden(t, m, ref)
+				ref, rres := goldenTo(t, prog, mit.MTEEnabled(), n)
+				diffMachineVsGolden(t, m, ref, rres)
 			})
 		}
 	}
@@ -125,9 +84,7 @@ func TestTransplantRunsToGoldenFinalState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full := golden.New(prog)
-		full.MTEOn = mit.MTEEnabled()
-		full.TagSeed = TagSeedBase
+		full := NewGolden(prog, mit.MTEEnabled(), 0)
 		fres := full.Run(1 << 40)
 		if fres.Reason != golden.StopExit {
 			t.Fatalf("golden full walk: %v", fres.Reason)
@@ -142,7 +99,7 @@ func TestTransplantRunsToGoldenFinalState(t *testing.T) {
 				if got := mres.Committed + n; got != fres.Insts {
 					t.Errorf("committed %d + ff %d != golden %d", mres.Committed, n, fres.Insts)
 				}
-				diffFinalState(t, m, full)
+				checkGolden(t, m, full, fres)
 			})
 		}
 	}
@@ -172,12 +129,10 @@ _start:
 	for n := uint64(1); n <= 8; n++ {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			m, _ := transplantAt(t, prog, mit, n)
-			ref := goldenTo(t, prog, true, n)
-			diffMachineVsGolden(t, m, ref)
+			ref, rres := goldenTo(t, prog, true, n)
+			diffMachineVsGolden(t, m, ref, rres)
 			// And the remainder must complete identically to the full walk.
-			full := golden.New(prog)
-			full.MTEOn = true
-			full.TagSeed = TagSeedBase
+			full := NewGolden(prog, true, 0)
 			fres := full.Run(1 << 20)
 			if fres.Reason != golden.StopExit {
 				t.Fatalf("full walk: %v", fres.Reason)
@@ -186,7 +141,7 @@ _start:
 			if mres.TimedOut || mres.Faulted || mres.Err != nil {
 				t.Fatalf("remainder: %v", mres)
 			}
-			diffFinalState(t, m, full)
+			checkGolden(t, m, full, fres)
 		})
 	}
 }
@@ -209,7 +164,7 @@ loop:
     B.LT loop
     SVC #0`
 	prog := asm.MustAssemble(src)
-	full := golden.New(prog)
+	full := NewGolden(prog, false, 0)
 	fres := full.Run(1 << 20)
 	if fres.Reason != golden.StopExit {
 		t.Fatalf("full walk: %v", fres.Reason)
@@ -222,8 +177,8 @@ loop:
 			if pc := ip.PC(); pc == prog.Entry {
 				t.Fatalf("budget %d did not leave entry", n)
 			}
-			ref := goldenTo(t, prog, false, n)
-			diffMachineVsGolden(t, m, ref)
+			ref, rres := goldenTo(t, prog, false, n)
+			diffMachineVsGolden(t, m, ref, rres)
 			mres := m.Run(10_000_000)
 			if mres.TimedOut || mres.Faulted || mres.Err != nil {
 				t.Fatalf("remainder: %v", mres)
@@ -231,7 +186,7 @@ loop:
 			if mres.Committed+n != fres.Insts {
 				t.Errorf("committed %d + ff %d != golden total %d", mres.Committed, n, fres.Insts)
 			}
-			diffFinalState(t, m, full)
+			checkGolden(t, m, full, fres)
 		})
 	}
 }

@@ -1,16 +1,15 @@
 package fuzzer
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
+	"strings"
 
 	"specasan/internal/asm"
 	"specasan/internal/attacks"
 	"specasan/internal/core"
 	"specasan/internal/cpu"
 	"specasan/internal/golden"
-	"specasan/internal/isa"
-	"specasan/internal/mem"
 )
 
 // goldenBudget bounds the reference walk of one candidate, in instructions.
@@ -68,9 +67,7 @@ type goldenState struct {
 }
 
 func runGolden(c *Candidate, prog *asm.Program, mteOn bool) *goldenState {
-	ip := golden.New(prog)
-	ip.MTEOn = mteOn
-	ip.TagSeed = cpu.TagSeedBase
+	ip := cpu.NewGolden(prog, mteOn, 0)
 	c.Setup.ApplyImage(ip.Mem)
 	return &goldenState{ip: ip, res: ip.Run(goldenBudget)}
 }
@@ -139,7 +136,7 @@ func EvaluateCandidate(c *Candidate, mits []core.Mitigation) *Evaluation {
 		case out.Leaked && tier >= ClaimKnownGap:
 			// Every flagged leak is cross-checked: a leak riding on wrong
 			// architectural state is a simulator bug, not an attack.
-			if crossCheck(m, res, prog, gold[mit.MTEEnabled()]) != nil {
+			if crossCheck(m, res, gold[mit.MTEEnabled()]) != nil {
 				ev.Diverged = append(ev.Diverged, mit.String())
 			} else if tier == ClaimBlocked {
 				ev.Counterexamples = append(ev.Counterexamples, mit.String())
@@ -153,53 +150,14 @@ func EvaluateCandidate(c *Candidate, mits []core.Mitigation) *Evaluation {
 }
 
 // crossCheck compares the final architectural state of a finished machine
-// run — registers, program output, every program data byte plus the secret
-// region — against the golden walk. Returns nil when bit-identical.
-func crossCheck(m *cpu.Machine, res *cpu.RunResult, prog *asm.Program, g *goldenState) error {
+// run with the golden walk (cpu.Machine.GoldenDiff), once the run has ended
+// without a timeout or a watchdog error. Returns nil when they agree.
+func crossCheck(m *cpu.Machine, res *cpu.RunResult, g *goldenState) error {
 	if res.TimedOut || res.Err != nil {
 		return fmt.Errorf("machine inconclusive: %v", res)
 	}
-	if res.Faulted {
-		return fmt.Errorf("machine faulted at %#x, golden exited cleanly", m.Core(0).FaultPC)
-	}
-	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		if r == isa.XZR {
-			continue
-		}
-		if got, want := m.Core(0).Reg(r), g.res.Regs[r]; got != want {
-			return fmt.Errorf("%v = %#x, golden %#x", r, got, want)
-		}
-	}
-	if string(m.Core(0).Output) != string(g.res.Output) {
-		return fmt.Errorf("output %q, golden %q", m.Core(0).Output, g.res.Output)
-	}
-	for _, d := range prog.Data {
-		if a, ok := firstDiff(m.Img, g.ip.Mem, d.Addr, d.Len()); ok {
-			return fmt.Errorf("mem[%#x] = %d, golden %d", a, m.Img.ByteAt(a), g.ip.Mem.ByteAt(a))
-		}
-	}
-	if a, ok := firstDiff(m.Img, g.ip.Mem, attacks.SecretAddr, attacks.SecretSize); ok {
-		return fmt.Errorf("secret[%#x] = %d, golden %d", a, m.Img.ByteAt(a), g.ip.Mem.ByteAt(a))
+	if d := m.GoldenDiff(0, g.ip, g.res); len(d) > 0 {
+		return errors.New(strings.Join(d, "; "))
 	}
 	return nil
-}
-
-// firstDiff compares n bytes from addr in two images a page-sized chunk at
-// a time and returns the address of the first byte that differs.
-func firstDiff(got, want *mem.Image, addr, n uint64) (uint64, bool) {
-	var a, b [mem.PageBytes]byte
-	for n > 0 {
-		k := min(n, mem.PageBytes)
-		got.ReadInto(addr, a[:k])
-		want.ReadInto(addr, b[:k])
-		if !bytes.Equal(a[:k], b[:k]) {
-			for i := range a[:k] {
-				if a[i] != b[i] {
-					return addr + uint64(i), true
-				}
-			}
-		}
-		addr, n = addr+k, n-k
-	}
-	return 0, false
 }

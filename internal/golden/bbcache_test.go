@@ -8,6 +8,7 @@ import (
 
 	"specasan/internal/asm"
 	"specasan/internal/isa"
+	"specasan/internal/mte"
 	"specasan/internal/workloads"
 )
 
@@ -58,9 +59,12 @@ func diffImages(t *testing.T, a, b *Interp) {
 				t.Fatalf("mem[%#x] = %#x vs %#x", p+off, av, bv)
 			}
 		}
-	}
-	if d := a.Mem.Tags.DiffGranules(b.Mem.Tags); len(d) != 0 {
-		t.Fatalf("tag granules differ: %v", d)
+		// Tags live in the page frames, so the mapped pages hold them all.
+		for g := p / mte.GranuleBytes; g < (p+4096)/mte.GranuleBytes; g++ {
+			if al, bl := a.Mem.LockAtGranule(g), b.Mem.LockAtGranule(g); al != bl {
+				t.Fatalf("tag granule %#x: lock %d vs %d", g*mte.GranuleBytes, al, bl)
+			}
+		}
 	}
 }
 

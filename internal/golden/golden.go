@@ -51,7 +51,7 @@ type Result struct {
 	Flags    isa.Flags
 	Output   []byte // bytes written through SVC print calls
 	FaultPC  uint64 // PC of the faulting access for StopTagFault
-	ExitCode uint64 // X0 at SVC #0
+	ExitCode uint64 // X0 at SVC #0 or HLT
 }
 
 // Interp is the reference interpreter.

@@ -53,15 +53,6 @@ var errSampleTooShort = errors.New("program too short to sample")
 // the sampled IPC track the full-walk IPC.
 const warmTouches = 1 << 15
 
-// newGolden builds a golden interpreter matching the detailed machine's
-// committed semantics (same MTE mode, same IRG tag seed).
-func newGolden(prog *asm.Program, mit core.Mitigation) *golden.Interp {
-	ip := golden.New(prog)
-	ip.MTEOn = mit.MTEEnabled()
-	ip.TagSeed = cpu.TagSeedBase
-	return ip
-}
-
 // functionalBudget bounds a functional walk in instructions, derived from
 // the detailed cycle budget so escalated-budget retries raise both: a
 // detailed run can commit at most a few instructions per cycle, so a walk
@@ -80,7 +71,7 @@ func functionalBudget(maxCycles uint64) uint64 {
 func runSampled(spec *workloads.Spec, mit core.Mitigation, opt Options,
 	prog *asm.Program) (*PerfResult, error) {
 	// Pass 1: total instruction count and exact output.
-	walk := newGolden(prog, mit)
+	walk := cpu.NewGolden(prog, mit.MTEEnabled(), 0)
 	fres := walk.Run(functionalBudget(opt.MaxCycles))
 	switch fres.Reason {
 	case golden.StopExit:
@@ -118,7 +109,7 @@ func runSampled(spec *workloads.Spec, mit core.Mitigation, opt Options,
 	// Pass 2: one progressive functional walk; transplant at each start. The
 	// walk's touch ring warms each window's caches with the working set live
 	// at that window's start.
-	ip := newGolden(prog, mit)
+	ip := cpu.NewGolden(prog, mit.MTEEnabled(), 0)
 	ip.Touch = golden.NewTouchRing(warmTouches)
 	var cur uint64
 	pool := stats.NewSet("machine")

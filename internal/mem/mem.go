@@ -184,7 +184,7 @@ func (m *Image) Release() {
 }
 
 // PageAddrs returns the base address of every allocated page, sorted — the
-// iteration surface for whole-memory comparison in differential tests.
+// iteration surface for whole-memory comparison (cpu.Machine.GoldenDiff).
 func (m *Image) PageAddrs() []uint64 {
 	out := make([]uint64, 0, m.numPages)
 	for pn, p := range m.root {
@@ -356,28 +356,6 @@ func (m *Image) SetLockAtGranule(g uint64, t mte.Tag) {
 // TaggedGranules returns the number of granules carrying a non-zero lock.
 // Part of the mte.Backing implementation.
 func (m *Image) TaggedGranules() int { return m.tagged }
-
-// ForEachTagged calls f for every granule with a non-zero lock. Part of the
-// mte.Backing implementation.
-func (m *Image) ForEachTagged(f func(g uint64, t mte.Tag)) {
-	walk := func(pn uint64, p *page) {
-		if p == nil || p.tagged == 0 {
-			return
-		}
-		base := pn << granuleShift
-		for i, t := range p.locks {
-			if t != 0 {
-				f(base+uint64(i), t)
-			}
-		}
-	}
-	for pn, p := range m.root {
-		walk(uint64(pn), p)
-	}
-	for pn, p := range m.high {
-		walk(pn, p)
-	}
-}
 
 // LoadProgram copies a program's data blocks into memory, in order. Code is
 // fetched from the Program structure directly (the I-side models timing

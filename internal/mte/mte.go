@@ -8,8 +8,6 @@
 // caches, the line fill buffer, the store queue and the memory controller.
 package mte
 
-import "sort"
-
 // Tag is a 4-bit MTE tag value (0..15). Tag 0 is the value of untagged
 // memory and of pointers that never went through IRG/ADDG; an untagged
 // pointer therefore matches untagged memory (0 == 0) and faults on tagged
@@ -106,9 +104,6 @@ type Backing interface {
 	SetLockAtGranule(g uint64, t Tag)
 	// TaggedGranules returns the number of granules with a non-zero lock.
 	TaggedGranules() int
-	// ForEachTagged calls f for every granule with a non-zero lock, in no
-	// particular order.
-	ForEachTagged(f func(g uint64, t Tag))
 }
 
 // Storage is the architectural allocation-tag store: lock values for every
@@ -164,26 +159,6 @@ func (s *Storage) CheckAccess(ptr uint64, size int) bool {
 // TaggedGranules returns the number of granules carrying a non-zero lock.
 func (s *Storage) TaggedGranules() int { return s.b.TaggedGranules() }
 
-// DiffGranules returns the granule indices whose locks differ between two
-// storages, sorted — the tag half of the golden-equivalence check.
-func (s *Storage) DiffGranules(o *Storage) []uint64 {
-	var out []uint64
-	s.b.ForEachTagged(func(g uint64, t Tag) {
-		if o.b.LockAtGranule(g) != t {
-			out = append(out, g)
-		}
-	})
-	o.b.ForEachTagged(func(g uint64, t Tag) {
-		// Granules tagged only on the other side; both-tagged mismatches
-		// were already collected above.
-		if s.b.LockAtGranule(g) == 0 {
-			out = append(out, g)
-		}
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // granuleMap is the standalone map backing for storages created without a
 // memory image (unit tests, tools). Absent = 0 (untagged).
 type granuleMap struct {
@@ -201,9 +176,3 @@ func (m granuleMap) SetLockAtGranule(g uint64, t Tag) {
 }
 
 func (m granuleMap) TaggedGranules() int { return len(m.locks) }
-
-func (m granuleMap) ForEachTagged(f func(g uint64, t Tag)) {
-	for g, t := range m.locks {
-		f(g, t)
-	}
-}

@@ -62,19 +62,13 @@ func TestKernelsMatchGolden(t *testing.T) {
 			if mres.TimedOut {
 				t.Fatalf("timed out: %v", mres)
 			}
-			ip := golden.New(prog)
-			ip.TagSeed = cpu.TagSeedBase
+			ip := cpu.NewGolden(prog, false, 0)
 			gres := ip.Run(20_000_000)
 			if gres.Reason != golden.StopExit {
 				t.Fatalf("golden: %v", gres.Reason)
 			}
-			for r := isa.Reg(0); r < isa.NumRegs; r++ {
-				if r == isa.XZR {
-					continue
-				}
-				if got, want := m.Core(0).Reg(r), gres.Regs[r]; got != want {
-					t.Errorf("%v = %#x, want %#x", r, got, want)
-				}
+			for _, d := range m.GoldenDiff(0, ip, gres) {
+				t.Error(d)
 			}
 		})
 	}

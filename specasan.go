@@ -101,10 +101,7 @@ func MustAssemble(src string) *Program { return asm.MustAssemble(src) }
 // speculation, no timing) and returns its final state. mteOn enforces
 // committed-path tag checks.
 func Interpret(prog *Program, mteOn bool, maxInsts uint64) *golden.Result {
-	ip := golden.New(prog)
-	ip.MTEOn = mteOn
-	ip.TagSeed = cpu.TagSeedBase
-	return ip.Run(maxInsts)
+	return cpu.NewGolden(prog, mteOn, 0).Run(maxInsts)
 }
 
 // Attacks returns the Table 1 attack suite (11 transient-execution attack
