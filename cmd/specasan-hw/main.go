@@ -5,10 +5,19 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"specasan/internal/hwcost"
 )
 
-func main() {
-	fmt.Print(hwcost.Format(hwcost.Model()))
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 {
+		fmt.Fprintf(stderr, "specasan-hw: takes no arguments, got %q\n", args)
+		return 2
+	}
+	fmt.Fprint(stdout, hwcost.Format(hwcost.Model()))
+	return 0
 }

@@ -12,47 +12,55 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"specasan/internal/attacks"
 	"specasan/internal/harness"
 )
 
-func main() {
-	detail := flag.Bool("detail", false, "print per-variant outcomes")
-	one := flag.String("attack", "", "evaluate a single attack by name")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if !*detail && *one == "" {
-		if err := harness.SecurityMatrix(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
+func run(args []string, stdout, stderr io.Writer) int {
+	f := flag.NewFlagSet("specasan-sec", flag.ContinueOnError)
+	f.SetOutput(stderr)
+	detail := f.Bool("detail", false, "print per-variant outcomes")
+	one := f.String("attack", "", "evaluate a single attack by name")
+	if err := f.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
 	}
+	if err := evaluate(stdout, *detail, *one); err != nil {
+		fmt.Fprintln(stderr, "specasan-sec:", err)
+		return 1
+	}
+	return 0
+}
 
+func evaluate(stdout io.Writer, detail bool, one string) error {
+	if !detail && one == "" {
+		return harness.SecurityMatrix(stdout)
+	}
 	for _, a := range attacks.All() {
-		if *one != "" && a.Name != *one {
+		if one != "" && a.Name != one {
 			continue
 		}
-		fmt.Printf("%s [%s]\n", a.Name, a.Class)
+		fmt.Fprintf(stdout, "%s [%s]\n", a.Name, a.Class)
 		for _, mit := range attacks.TableMitigations() {
 			verdict, outs, err := a.Evaluate(mit)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("  %-13s %s (%s)\n", mit, verdict, verdict.Word())
-			if *detail {
+			fmt.Fprintf(stdout, "  %-13s %s (%s)\n", mit, verdict, verdict.Word())
+			if detail {
 				for _, o := range outs {
-					fmt.Printf("    %-30s leaked=%-5v secretReads=%-3d events=%v\n",
+					fmt.Fprintf(stdout, "    %-30s leaked=%-5v secretReads=%-3d events=%v\n",
 						o.Variant, o.Leaked, o.SecretReads, o.Events)
 				}
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "specasan-sec:", err)
-	os.Exit(1)
+	return nil
 }

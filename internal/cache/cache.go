@@ -150,7 +150,11 @@ func (l *Level) find(addr uint64) *line {
 // victim picks the line to fill in addr's set: the first invalid way, else
 // the least recently used one.
 func (l *Level) victim(addr uint64) *line {
-	set := l.set(addr, true)
+	return victimIn(l.set(addr, true))
+}
+
+// victimIn is victim for the ways of one set.
+func victimIn(set []line) *line {
 	best := &set[0]
 	for w := range set {
 		ln := &set[w]

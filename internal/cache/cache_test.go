@@ -452,7 +452,7 @@ func TestFinishWarmRanksLRUPerSet(t *testing.T) {
 	// Replayed touches over sets in several chunks of the 2-way L1D and the
 	// 16-way L2, the first and last chunks included, revisiting lines out of
 	// order and overflowing L1D set 3.
-	// After FinishWarm each filled set ranks its lines 0..n-1 by last touch,
+	// After finishWarm each filled set ranks its lines 0..n-1 by last touch,
 	// as a reference LRU model says, and a full set's victim is rank 0.
 	h, _ := newHier(false, false)
 	l1d := &lruModel{sets: 256, ways: 2, res: map[uint64]map[uint64]uint64{}}
@@ -463,11 +463,11 @@ func TestFinishWarmRanksLRUPerSet(t *testing.T) {
 	for i, tc := range touches {
 		a := 0x400000 + tc.set*64 + tc.tag*setStride
 		seq := uint64(10000 + 100*i)
-		h.WarmData(0, a, false, seq)
+		h.warmTouch(0, a, false, false, seq)
 		l1d.touch(a, seq)
 		l2.touch(a, seq)
 	}
-	h.FinishWarm()
+	h.finishWarm()
 	for _, lv := range []struct {
 		l     *Level
 		model *lruModel

@@ -115,6 +115,19 @@ func (t *dirTable) del(key uint64) {
 	}
 }
 
+// reserve grows the table once so that n more entries fit without a
+// rehash. Where entries sit is invisible outside the table.
+func (t *dirTable) reserve(n int) {
+	n += t.used
+	size := len(t.slots)
+	for n*4 >= size*3 {
+		size *= 2
+	}
+	if size > len(t.slots) {
+		t.rehashTo(size)
+	}
+}
+
 // rehash rebuilds the table, dropping tombstones. It doubles the capacity
 // only when live entries (not tombstones) fill it, so churny delete/insert
 // traffic recycles slots instead of growing without bound.
@@ -123,6 +136,11 @@ func (t *dirTable) rehash() {
 	if t.live*2 >= n {
 		n *= 2
 	}
+	t.rehashTo(n)
+}
+
+// rehashTo rebuilds the table with n slots, dropping tombstones.
+func (t *dirTable) rehashTo(n int) {
 	old := t.slots
 	t.slots = dirSlots.Make(n)
 	t.live, t.used = 0, 0

@@ -18,12 +18,13 @@ const goldenInstBudget = 50_000_000
 // VerifyGolden replays m's program on each core's golden twin
 // (cpu.NewGolden) and lists every divergence cpu.Machine.GoldenDiff finds
 // in the committed state: end condition, registers, flags, SVC output, exit
-// code and, on single-core runs, every memory byte and MTE tag granule.
-// A replay that exhausts its instruction budget is inconclusive and listed
-// as such. Empty means the chaos run was architecturally invisible, as
-// required.
+// code and every memory byte and MTE tag granule, which on multi-core runs
+// the twins judge together (cpu.Machine.GoldenMemoryDiff). A replay that
+// exhausts its instruction budget is inconclusive and listed as such.
+// Empty means the chaos run was architecturally invisible, as required.
 func VerifyGolden(m *cpu.Machine, prog *asm.Program) []string {
 	var divs []string
+	twins := make([]*golden.Interp, 0, len(m.Cores))
 	for i := range m.Cores {
 		ip := cpu.NewGolden(prog, m.Mit.MTEEnabled(), i)
 		g := ip.Run(goldenInstBudget)
@@ -31,7 +32,12 @@ func VerifyGolden(m *cpu.Machine, prog *asm.Program) []string {
 			divs = append(divs, fmt.Sprintf("core %d: golden replay exhausted %d-inst budget (reference run inconclusive)", i, uint64(goldenInstBudget)))
 		} else {
 			divs = append(divs, m.GoldenDiff(i, ip, g)...)
+			twins = append(twins, ip)
 		}
+	}
+	if len(m.Cores) > 1 && len(twins) == len(m.Cores) {
+		d, _ := m.GoldenMemoryDiff(prog, twins)
+		divs = append(divs, d...)
 	}
 	return divs
 }

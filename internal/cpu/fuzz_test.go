@@ -52,7 +52,8 @@ func TestDifferentialConfigCorners(t *testing.T) {
 
 // TestDifferentialMultiCore runs an SPMD random program on 4 cores against
 // 4 independent golden interpreters (the partitions are disjoint, so the
-// per-core architectural state must match exactly).
+// per-core architectural state must match exactly, and so must memory with
+// the twins' images merged by writer).
 func TestDifferentialMultiCore(t *testing.T) {
 	for seed := int64(200); seed < 203; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -92,6 +93,7 @@ loop:
 		if res.TimedOut {
 			t.Fatalf("timed out: %v", res)
 		}
+		var twins []*golden.Interp
 		for i := 0; i < 4; i++ {
 			ip := NewGolden(prog, false, i)
 			ip.SetReg(isa.X7, 6364136223846793005)
@@ -102,6 +104,14 @@ loop:
 			for _, d := range m.GoldenDiff(i, ip, g) {
 				t.Error(d)
 			}
+			twins = append(twins, ip)
+		}
+		diffs, unjudged := m.GoldenMemoryDiff(prog, twins)
+		for _, d := range diffs {
+			t.Error(d)
+		}
+		if unjudged != 0 {
+			t.Errorf("%d bytes and granules with disagreeing writers in disjoint partitions", unjudged)
 		}
 	}
 }

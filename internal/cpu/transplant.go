@@ -10,8 +10,9 @@ package cpu
 // machine has no speculative state — empty ROB/LSQ, reset TSH, cold caches
 // and predictors — so installing the snapshot into those five committed
 // pieces reproduces the golden interpreter's architectural state bit for
-// bit. Micro-architectural state (caches, predictors, TSH occupancy) is
-// deliberately cold: sampling runs warm it with a configurable number of
+// bit. Micro-architectural state starts cold. Sampling runs then warm the
+// cache hierarchy from the functional walk's recorded touches (WarmCaches)
+// and the rest (predictors, TSH occupancy) with a configurable number of
 // detailed cycles before counters are read (see harness). Tests assert
 // golden(full walk) == golden(N) + transplant + detailed(rest) on final
 // registers, memory, tags and output.
@@ -57,14 +58,5 @@ func (m *Machine) WarmCaches(tr *golden.TouchRing) {
 	if tr == nil || tr.Len() == 0 {
 		return
 	}
-	seq := uint64(0)
-	tr.Each(func(addr uint64, write, ifetch bool) {
-		if ifetch {
-			m.Hier.WarmInst(0, addr, seq)
-		} else {
-			m.Hier.WarmData(0, addr, write, seq)
-		}
-		seq++
-	})
-	m.Hier.FinishWarm()
+	m.Hier.Warm(0, tr.Each)
 }

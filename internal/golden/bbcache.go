@@ -6,9 +6,9 @@
 // Now that golden is a fast-forward engine and not just a test oracle, that
 // overhead dominates. This file pre-translates each basic block into a flat
 // slice of micro-ops ("uops") with operands resolved at decode time, executes
-// them in a tight loop with a one-entry page TLB on the memory path, and
-// chains blocks along fallthrough/taken edges so steady-state dispatch never
-// touches the program structure or a map.
+// them in a tight loop with a direct-mapped page TLB on the memory path, and
+// chains blocks along fallthrough, taken and indirect edges so steady-state
+// dispatch never touches the program structure or a map.
 //
 // Correctness story: runNaive in golden.go keeps the original one-inst-at-a-
 // time loop, and tests assert the two engines are bit-identical (registers,
@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 
 	"specasan/internal/isa"
+	"specasan/internal/mem"
 	"specasan/internal/mte"
 )
 
@@ -94,9 +95,12 @@ type bblock struct {
 	uops []uop
 	// next chains to the block at addr+len*InstBytes (fallthrough and
 	// not-taken conditional edges); takenBlk chains the static taken edge of
-	// a terminating direct branch. Both resolve lazily on first use.
+	// a terminating direct branch; indBlk remembers the last target of a
+	// terminating RET, BR or BLR. All resolve lazily on first use, and
+	// takenBlk and indBlk are checked against the PC before use.
 	next     *bblock
 	takenBlk *bblock
+	indBlk   *bblock
 }
 
 func (b *bblock) endAddr() uint64 {
@@ -117,14 +121,18 @@ func (ip *Interp) decodeBlock(pc uint64) *bblock {
 	if insts == nil {
 		return nil
 	}
-	b := &bblock{addr: pc, uops: make([]uop, 0, 16)}
+	// Translate on the stack, then keep exactly the block's uops: most
+	// blocks are a handful of instructions.
+	var buf [32]uop
+	uops := buf[:0]
 	for i := range insts {
 		u := translate(&insts[i])
-		b.uops = append(b.uops, u)
+		uops = append(uops, u)
 		if u.kind >= uSvcExit {
 			break
 		}
 	}
+	b := &bblock{addr: pc, uops: append([]uop(nil), uops...)}
 	if ip.blocks == nil {
 		ip.blocks = make(map[uint64]*bblock)
 	}
@@ -473,16 +481,21 @@ func (ip *Interp) raise(b *bblock, i int, baseCycles uint64, r StopReason, out *
 // and only mapped pages are cached, external writes through the Image stay
 // coherent with the TLB by construction.
 
+// tlbWays is sized for the kernels' footprints: a scale-2 SPEC kernel maps
+// 9 to 49 pages, and with 64 direct-mapped entries a run of consecutive
+// pages never evicts itself.
 const (
 	mem4kMask = 4095 // mem.PageBytes - 1; compile-time checked in golden.go
-	tlbWays   = 16
+	tlbWays   = 64
 )
 
-// tlbEntry caches one mapped page frame. Valid iff data != nil.
+// tlbEntry caches one mapped page frame. Valid iff data != nil. Array
+// pointers rather than slices keep an entry at 24 bytes, so the whole TLB
+// adds about 1.5 KiB to an interpreter.
 type tlbEntry struct {
 	base  uint64 // stripped page base address
-	data  []byte
-	locks []mte.Tag
+	data  *[mem.PageBytes]byte
+	locks *[mem.PageBytes / mte.GranuleBytes]mte.Tag
 }
 
 func (ip *Interp) refillTLB(e *tlbEntry, stripped uint64, mapIt bool) bool {
@@ -494,8 +507,8 @@ func (ip *Interp) refillTLB(e *tlbEntry, stripped uint64, mapIt bool) bool {
 		return false
 	}
 	e.base = stripped &^ uint64(mem4kMask)
-	e.data = data
-	e.locks = locks
+	e.data = (*[mem.PageBytes]byte)(data)
+	e.locks = (*[mem.PageBytes / mte.GranuleBytes]mte.Tag)(locks)
 	return true
 }
 

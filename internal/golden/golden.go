@@ -168,7 +168,15 @@ func (ip *Interp) Run(maxInsts uint64) *Result {
 			}
 			b = nb
 		case ctrlIndirect:
-			b = ip.blockAt(ip.pc)
+			// The last target stands in for the next one, checked by
+			// address as for the taken edge: a return to the same call
+			// site or a repeated dispatch skips the block map.
+			nb := b.indBlk
+			if nb == nil || nb.addr != ip.pc {
+				nb = ip.blockAt(ip.pc)
+				b.indBlk = nb
+			}
+			b = nb
 		}
 	}
 	return ip.result(StopMaxInsts, n)
@@ -211,13 +219,36 @@ type State struct {
 // Snapshot deep-copies the interpreter's architectural state. The
 // interpreter remains runnable; the snapshot does not alias its memory.
 func (ip *Interp) Snapshot() *State {
+	return ip.snapshot(ip.Mem.Clone())
+}
+
+// SnapshotSharing is Snapshot for a series of checkpoints of one walk that
+// are only ever resumed from: memory pages unchanged since prev, an earlier
+// snapshot, share prev's frames (mem.Image.CloneSharing), so neither
+// snapshot's memory may be written or released afterwards.
+func (ip *Interp) SnapshotSharing(prev *State) *State {
+	return ip.snapshot(ip.Mem.CloneSharing(prev.Mem))
+}
+
+func (ip *Interp) snapshot(img *mem.Image) *State {
 	st := &State{
 		PC: ip.pc, Regs: ip.regs, Flags: ip.flags, Insts: ip.cycles,
 		Output: append([]byte(nil), ip.output...),
-		Mem:    ip.Mem.Clone(),
+		Mem:    img,
 	}
 	st.Regs[isa.XZR] = 0
 	return st
+}
+
+// Resume returns an interpreter over prog that continues from st, a
+// Snapshot of an interpreter over the same program: from here it walks
+// exactly as the snapshotted one would have, MRS included, since st.Insts
+// restores the instruction count MRS reads. Resume copies st, so one
+// snapshot can seed any number of resumes. MTEOn, TagSeed and Touch start
+// unset, as after New.
+func Resume(prog *asm.Program, st *State) *Interp {
+	return &Interp{prog: prog, Mem: st.Mem.Clone(), pc: st.PC, regs: st.Regs,
+		flags: st.Flags, cycles: st.Insts, output: append([]byte(nil), st.Output...)}
 }
 
 // PC returns the current program counter.

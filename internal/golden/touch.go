@@ -17,9 +17,9 @@ const (
 // starts with the cache contents the skipped instructions would have left
 // behind instead of stone-cold caches.
 type TouchRing struct {
-	buf  []uint64
-	pos  int
-	full bool
+	buf   []uint64
+	pos   int
+	wraps uint64 // times pos has wrapped back to 0
 }
 
 // NewTouchRing returns a ring remembering the last n touches.
@@ -36,16 +36,25 @@ func (t *TouchRing) add(v uint64) {
 	t.pos++
 	if t.pos == len(t.buf) {
 		t.pos = 0
-		t.full = true
+		t.wraps++
 	}
 }
 
 // Len returns the number of touches currently held.
 func (t *TouchRing) Len() int {
-	if t.full {
+	if t.wraps > 0 {
 		return len(t.buf)
 	}
 	return t.pos
+}
+
+// Reset empties the ring for reuse.
+func (t *TouchRing) Reset() { t.pos, t.wraps = 0, 0 }
+
+// Added returns the number of touches recorded since the ring was made or
+// reset, the ones it has since overwritten included.
+func (t *TouchRing) Added() uint64 {
+	return t.wraps*uint64(len(t.buf)) + uint64(t.pos)
 }
 
 // Each visits the recorded touches oldest to newest. write marks stores,
@@ -54,7 +63,7 @@ func (t *TouchRing) Each(fn func(addr uint64, write, ifetch bool)) {
 	emit := func(v uint64) {
 		fn(v&^3, v&touchWrite != 0, v&touchIfetch != 0)
 	}
-	if t.full {
+	if t.wraps > 0 {
 		for _, v := range t.buf[t.pos:] {
 			emit(v)
 		}

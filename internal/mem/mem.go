@@ -72,7 +72,7 @@ func NewImage() *Image {
 // slices alias the live page: callers may read and write data through them
 // but must treat the lock slice as read-only (lock writes go through Tags so
 // the tagged-granule accounting stays correct). The golden interpreter uses
-// this as a one-entry TLB on its load/store fast path.
+// this to fill the direct-mapped page TLB on its load/store fast path.
 func (m *Image) FrameAt(addr uint64) ([]byte, []mte.Tag) {
 	if p := m.pageAt(mte.Strip(addr) >> pageShift); p != nil {
 		return p.data[:], p.locks[:]
@@ -89,15 +89,16 @@ func (m *Image) FrameFor(addr uint64) ([]byte, []mte.Tag) {
 // Clone returns a deep copy of the image: every mapped page frame is copied
 // including its MTE tag sidecar, and the copy gets its own tag-storage view.
 // Writes to either image never alias the other. This is the memory half of
-// the golden-interpreter state transplant.
+// the golden-interpreter state transplant. The copy's frames come from
+// released images when there are any, like a loaded image's.
 func (m *Image) Clone() *Image {
 	c := &Image{numPages: m.numPages, tagged: m.tagged}
 	c.Tags = mte.NewStorageOn(c)
 	if m.root != nil {
-		c.root = make([]*page, len(m.root))
+		c.root = roots.Make(len(m.root))
 		for pn, p := range m.root {
 			if p != nil {
-				cp := new(page)
+				cp := frames.New()
 				*cp = *p
 				c.root[pn] = cp
 			}
@@ -106,9 +107,41 @@ func (m *Image) Clone() *Image {
 	if m.high != nil {
 		c.high = make(map[uint64]*page, len(m.high))
 		for pn, p := range m.high {
-			cp := new(page)
+			cp := frames.New()
 			*cp = *p
 			c.high[pn] = cp
+		}
+	}
+	return c
+}
+
+// CloneSharing is Clone for images nobody writes again, such as a run's
+// checkpoints: each page whose bytes and tags equal those of prev's page at
+// the same address shares prev's frame instead of being copied. Neither the
+// copy nor prev may be written or released afterwards.
+func (m *Image) CloneSharing(prev *Image) *Image {
+	c := &Image{numPages: m.numPages, tagged: m.tagged}
+	c.Tags = mte.NewStorageOn(c)
+	frame := func(pn uint64, p *page) *page {
+		if q := prev.pageAt(pn); q != nil && *q == *p {
+			return q
+		}
+		cp := frames.New()
+		*cp = *p
+		return cp
+	}
+	if m.root != nil {
+		c.root = roots.Make(len(m.root))
+		for pn, p := range m.root {
+			if p != nil {
+				c.root[pn] = frame(uint64(pn), p)
+			}
+		}
+	}
+	if m.high != nil {
+		c.high = make(map[uint64]*page, len(m.high))
+		for pn, p := range m.high {
+			c.high[pn] = frame(pn, p)
 		}
 	}
 	return c

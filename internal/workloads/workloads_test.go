@@ -74,6 +74,62 @@ func TestKernelsMatchGolden(t *testing.T) {
 	}
 }
 
+// TestMultiCoreKernelsMatchGoldenMemory: every multi-core kernel, the
+// PARSEC set and the 4-core scaled variants, leaves each core in its golden
+// twin's state and memory where the twins, merged by writer, say it must
+// be. Every byte and tag granule these kernels write has one writer, so the
+// merge judges all of them.
+func TestMultiCoreKernelsMatchGoldenMemory(t *testing.T) {
+	var specs []*Spec
+	for _, s := range append(PARSEC(), Scaled()...) {
+		if s.Threads > 1 {
+			specs = append(specs, s)
+		}
+	}
+	if len(specs) != 10 {
+		t.Fatalf("%d multi-core kernels, want 10", len(specs))
+	}
+	for _, s := range specs {
+		for _, mit := range []core.Mitigation{core.Unsafe, core.SpecASan} {
+			prog, err := s.Build(mit.MTEEnabled(), 0.05)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := core.DefaultConfig()
+			cfg.Cores = s.Threads
+			m, err := cpu.NewMachine(cfg, mit, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range m.Cores {
+				m.Core(i).SetReg(isa.X0, uint64(i))
+			}
+			if res := m.Run(50_000_000); res.TimedOut || res.Faulted {
+				t.Fatalf("%s/%v: %v", s.Name, mit, res)
+			}
+			var twins []*golden.Interp
+			for i := range m.Cores {
+				ip := cpu.NewGolden(prog, mit.MTEEnabled(), i)
+				g := ip.Run(50_000_000)
+				if g.Reason != golden.StopExit {
+					t.Fatalf("%s/%v: golden core %d: %v", s.Name, mit, i, g.Reason)
+				}
+				for _, d := range m.GoldenDiff(i, ip, g) {
+					t.Errorf("%s/%v: %s", s.Name, mit, d)
+				}
+				twins = append(twins, ip)
+			}
+			diffs, unjudged := m.GoldenMemoryDiff(prog, twins)
+			for _, d := range diffs {
+				t.Errorf("%s/%v: %s", s.Name, mit, d)
+			}
+			if unjudged != 0 {
+				t.Errorf("%s/%v: %d bytes and granules with disagreeing writers", s.Name, mit, unjudged)
+			}
+		}
+	}
+}
+
 // TestTaggedKernelRunsUnderMTE: the tagged build must complete without tag
 // faults under MTE and SpecASan (benign code never violates its own tags).
 func TestTaggedKernelRunsUnderMTE(t *testing.T) {
