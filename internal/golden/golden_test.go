@@ -378,3 +378,54 @@ cell:
 		t.Fatalf("shared image cell = %d, want 2", got)
 	}
 }
+
+// TestResumeContinuesTheWalk: an interpreter resumed from a snapshot taken
+// after any number of instructions, block boundaries and mid-block points
+// alike, ends exactly where the uninterrupted walk ends: registers (MRS
+// reads among them), flags, output, memory and the instruction count. The
+// snapshot stays usable for a second resume.
+func TestResumeContinuesTheWalk(t *testing.T) {
+	prog := asm.MustAssemble(`
+_start:
+    ADR  X10, buf
+    MOV  X1, #40
+loop:
+    MRS  X2, CNTVCT_EL0
+    STR  X2, [X10]
+    ADD  X10, X10, #8
+    MOV  X0, X1
+    SVC  #1
+    SUB  X1, X1, #1
+    CMP  X1, #0
+    B.NE loop
+    MRS  X3, CNTVCT_EL0
+    SVC  #0
+    .org 0x8000
+buf:
+    .space 512
+`)
+	want := New(prog)
+	wres := want.Run(1 << 20)
+	if wres.Reason != StopExit {
+		t.Fatalf("walk stopped with %v", wres.Reason)
+	}
+	for _, at := range []uint64{0, 1, 2, 3, 5, 17, 100, wres.Insts - 1} {
+		ip := New(prog)
+		ip.Run(at)
+		st := ip.Snapshot()
+		for k := 0; k < 2; k++ {
+			r := Resume(prog, st)
+			res := r.Run(1 << 20)
+			if res.Reason != StopExit || res.Insts+at != wres.Insts || res.Regs != wres.Regs ||
+				res.Flags != wres.Flags || string(res.Output) != string(wres.Output) {
+				t.Fatalf("resumed at %d: %v after %d, regs %v; walk %v after %d, regs %v",
+					at, res.Reason, res.Insts, res.Regs, wres.Reason, wres.Insts, wres.Regs)
+			}
+			for a := prog.MustLabel("buf"); a < prog.MustLabel("buf")+512; a += 8 {
+				if got, w := r.Mem.ReadU64(a), want.Mem.ReadU64(a); got != w {
+					t.Fatalf("resumed at %d: mem[%#x] = %d, walk %d", at, a, got, w)
+				}
+			}
+		}
+	}
+}
