@@ -1,11 +1,12 @@
 package specasan
 
-// One benchmark per table and figure of the paper, plus the ablation benches
+// One benchmark per figure of the paper, plus the ablation benches
 // DESIGN.md calls out. The benches run reduced-scale versions of each
 // experiment and report the paper's metric (normalized execution time,
-// restriction percentage, verdict counts) through b.ReportMetric, so
-// `go test -bench` gives a quick-look reproduction; cmd/specasan-bench
-// regenerates the full-size tables.
+// restriction percentage) through b.ReportMetric, so `go test -bench` gives
+// a quick-look reproduction; cmd/specasan-bench regenerates the full-size
+// figures. Tables 1 and 3 have no bench: TestTable1Matrix and the
+// specasan-sec and specasan-hw tests assert them.
 
 import (
 	"fmt"
@@ -16,7 +17,6 @@ import (
 	"specasan/internal/core"
 	"specasan/internal/cpu"
 	"specasan/internal/harness"
-	"specasan/internal/hwcost"
 	"specasan/internal/isa"
 	"specasan/internal/scenario"
 	"specasan/internal/workloads"
@@ -55,34 +55,6 @@ func BenchmarkFigure1DefenseClasses(b *testing.B) {
 		b.ReportMetric(float64(runKernel(b, "500.perlbench_r", core.STT))/float64(base), "xUseDelay")
 		b.ReportMetric(float64(runKernel(b, "500.perlbench_r", core.GhostMinion))/float64(base), "xTransmitDelay")
 		b.ReportMetric(float64(runKernel(b, "500.perlbench_r", core.SpecASan))/float64(base), "xSpecASan")
-	}
-}
-
-// BenchmarkTable1SecurityMatrix runs the full attack suite against every
-// Table 1 column and reports how many cells are full/partial/none. The
-// expected totals for the paper's matrix are 32 full, 10 partial, 13 none.
-func BenchmarkTable1SecurityMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		full, partial, none := 0, 0, 0
-		for _, a := range attacks.All() {
-			for _, mit := range attacks.TableMitigations() {
-				verdict, _, err := a.Evaluate(mit)
-				if err != nil {
-					b.Fatal(err)
-				}
-				switch verdict {
-				case attacks.VerdictFull:
-					full++
-				case attacks.VerdictPartial:
-					partial++
-				default:
-					none++
-				}
-			}
-		}
-		b.ReportMetric(float64(full), "full")
-		b.ReportMetric(float64(partial), "partial")
-		b.ReportMetric(float64(none), "none")
 	}
 }
 
@@ -164,21 +136,6 @@ func BenchmarkFigure9CFI(b *testing.B) {
 		workloads.ByName("511.povray_r"),
 	}
 	figureGeomean(b, specs, presetMitigations(b, scenario.PresetFigure9))
-}
-
-// BenchmarkTable3HardwareCost evaluates the hardware-cost model and reports
-// the headline totals (percent core area overhead).
-func BenchmarkTable3HardwareCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := hwcost.Model()
-		for _, r := range rows {
-			if r.Component == "Total Core" && r.Metric == "Area Overhead (%)" {
-				b.ReportMetric(r.MTE, "%mte")
-				b.ReportMetric(r.SpecASan, "%specasan")
-				b.ReportMetric(r.SpecCFI, "%specasan+cfi")
-			}
-		}
-	}
 }
 
 // --- Ablations (design choices DESIGN.md calls out) -----------------------

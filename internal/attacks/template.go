@@ -1,11 +1,13 @@
 package attacks
 
-// Template extraction for programmatic variant construction: the fuzzer (and
-// any other generator) composes attack programs from the same trigger
-// skeletons the hand-written PoCs use — bounds-check bypass, branch-target
-// injection, return-stack misdirection, store bypass — with a caller-supplied
-// gadget body in the transient window. The hand-written Table 1 PoCs keep
-// their original sources; these templates are the reusable halves.
+// Trigger templates for programmatic variant construction: the fuzzer (and
+// any other generator) composes attack programs from four trigger
+// skeletons — bounds-check bypass, branch-target injection, return-stack
+// misdirection, store bypass — with a caller-supplied gadget body in the
+// transient window. Fifteen of Table 1's twenty variants are such renders
+// (Gadget.Variant; Variant.Gadget keeps the recipe). BHB's three-phase
+// history loop and the MDS rows' fill-buffer and store-queue sampling have
+// no trigger here and keep hand-written sources.
 //
 // Register contract for gadget bodies:
 //
@@ -355,6 +357,26 @@ depslot:
     .word 0
 @DATA@
 `
+
+// Gadget is one RenderGadget recipe: a trigger, a tag relation, a training
+// count (0 picks the trigger's default) and a gadget body.
+type Gadget struct {
+	Trigger, Relation string
+	Train             int
+	Body              string
+}
+
+// Variant names the rendered gadget as an attacks.Variant. Its Build
+// renders the program and builds it as its setup's Variant does.
+func (g Gadget) Variant(name string) Variant {
+	return Variant{Name: name, Gadget: &g, Build: func() (*Scenario, error) {
+		src, setup, err := RenderGadget(g.Trigger, g.Relation, g.Train, g.Body)
+		if err != nil {
+			return nil, err
+		}
+		return setup.Variant(name, src, 0).Build()
+	}}
+}
 
 // RenderGadget composes a trigger template, a tag relation and a gadget body
 // into a full program source plus the setup it needs. train is the trigger's

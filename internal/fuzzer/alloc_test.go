@@ -2,6 +2,7 @@ package fuzzer
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"specasan/internal/attacks"
@@ -11,8 +12,14 @@ import (
 
 // bytesPerRun returns the heap bytes one call of f allocates, averaged over
 // runs calls after a warm-up call. It reads the process-wide TotalAlloc, so
-// the caller must not run in parallel with other tests.
+// the caller must not run in parallel with other tests. From the warm-up
+// to the last run the collector is off and the runs share one P: a
+// collection would empty the recycle pools, and a run on another P would
+// miss the per-P pool caches the previous run filled, so either way the
+// next run would allocate afresh what the last one handed back.
 func bytesPerRun(runs int, f func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -35,7 +42,7 @@ func bytesPerRun(runs int, f func()) uint64 {
 // cache line chunks, directory slots, page table and page frames instead
 // of allocating them (without that, a PoC machine costs about 130 KB and a
 // candidate evaluation about 1 MB). The limits sit 20-30 % above the
-// recycled steady state, which reads 39 KB, 187 KB and 50 KB. A -race
+// recycled steady state, which reads 37 KB, 188 KB and 46 KB. A -race
 // build's sync.Pool drops a quarter of the arrays handed back to it, on
 // purpose, so that build gets its own limits, about a third above the
 // worst of 20 race runs (69 KB, 439 KB and 92 KB).

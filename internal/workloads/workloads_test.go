@@ -44,31 +44,35 @@ func TestSuitesComplete(t *testing.T) {
 	}
 }
 
-// TestKernelsMatchGolden: every kernel must produce identical architectural
-// state on the OoO core and the reference interpreter (small scale).
+// TestKernelsMatchGolden: every SPEC kernel must produce identical
+// architectural state on the OoO core and the reference interpreter (small
+// scale), in both builds: untagged under Unsafe, tagged under SpecASan.
 func TestKernelsMatchGolden(t *testing.T) {
-	for _, s := range SPEC()[:4] {
-		s := s
+	for _, s := range SPEC() {
 		t.Run(s.Name, func(t *testing.T) {
-			prog, err := s.Build(false, 0.05)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := cpu.NewMachine(core.DefaultConfig(), core.Unsafe, prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mres := m.Run(20_000_000)
-			if mres.TimedOut {
-				t.Fatalf("timed out: %v", mres)
-			}
-			ip := cpu.NewGolden(prog, false, 0)
-			gres := ip.Run(20_000_000)
-			if gres.Reason != golden.StopExit {
-				t.Fatalf("golden: %v", gres.Reason)
-			}
-			for _, d := range m.GoldenDiff(0, ip, gres) {
-				t.Error(d)
+			for _, mit := range []core.Mitigation{core.Unsafe, core.SpecASan} {
+				t.Run(mit.String(), func(t *testing.T) {
+					prog, err := s.Build(mit.MTEEnabled(), 0.05)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m, err := cpu.NewMachine(core.DefaultConfig(), mit, prog)
+					if err != nil {
+						t.Fatal(err)
+					}
+					mres := m.Run(20_000_000)
+					if mres.TimedOut {
+						t.Fatalf("timed out: %v", mres)
+					}
+					ip := cpu.NewGolden(prog, mit.MTEEnabled(), 0)
+					gres := ip.Run(20_000_000)
+					if gres.Reason != golden.StopExit {
+						t.Fatalf("golden: %v", gres.Reason)
+					}
+					for _, d := range m.GoldenDiff(0, ip, gres) {
+						t.Error(d)
+					}
+				})
 			}
 		})
 	}
@@ -77,8 +81,8 @@ func TestKernelsMatchGolden(t *testing.T) {
 // TestMultiCoreKernelsMatchGoldenMemory: every multi-core kernel, the
 // PARSEC set and the 4-core scaled variants, leaves each core in its golden
 // twin's state and memory where the twins, merged by writer, say it must
-// be. Every byte and tag granule these kernels write has one writer, so the
-// merge judges all of them.
+// be, under each Figure 7 column. Every byte and tag granule these kernels
+// write has one writer, so the merge judges all of them.
 func TestMultiCoreKernelsMatchGoldenMemory(t *testing.T) {
 	var specs []*Spec
 	for _, s := range append(PARSEC(), Scaled()...) {
@@ -90,7 +94,7 @@ func TestMultiCoreKernelsMatchGoldenMemory(t *testing.T) {
 		t.Fatalf("%d multi-core kernels, want 10", len(specs))
 	}
 	for _, s := range specs {
-		for _, mit := range []core.Mitigation{core.Unsafe, core.SpecASan} {
+		for _, mit := range []core.Mitigation{core.Unsafe, core.Fence, core.STT, core.GhostMinion, core.SpecASan} {
 			prog, err := s.Build(mit.MTEEnabled(), 0.05)
 			if err != nil {
 				t.Fatal(err)
