@@ -276,16 +276,14 @@ func figure1(w io.Writer) error {
 }
 
 // benignLoop measures a benign bounds-checked loop (the victim code of
-// Listing 1 with in-bounds indices) under a mitigation.
+// Listing 1 with in-bounds indices) under a mitigation: Figure 6's
+// 500.perlbench_r cell at scale 0.1.
 func benignLoop(mit core.Mitigation) (uint64, error) {
-	spec := workloads.ByName("500.perlbench_r")
-	prog, err := spec.Build(mit.MTEEnabled(), 0.1)
+	opt := harness.DefaultOptions()
+	opt.Scale = 0.1
+	r, err := harness.RunBenchmark(workloads.ByName("500.perlbench_r"), mit, opt)
 	if err != nil {
 		return 0, err
 	}
-	m, err := cpu.NewMachine(core.DefaultConfig(), mit, prog)
-	if err != nil {
-		return 0, err
-	}
-	return m.Run(100_000_000).Cycles, nil
+	return r.Cycles, nil
 }

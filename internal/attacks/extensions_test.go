@@ -70,6 +70,31 @@ func TestPrefetcherChannel(t *testing.T) {
 	}
 }
 
+// TestRIDLNeedsLFBTags: SpecASan's tag check reaches in-flight LFB data
+// only through the LFB tagging extension (§3.3.3). Without it the RIDL
+// sample leaks even under SpecASan; with it, it does not.
+func TestRIDLNeedsLFBTags(t *testing.T) {
+	for _, on := range []bool{true, false} {
+		sc, err := RIDL().Variants[0].Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.DefaultConfig()
+		cfg.LFBTagging = on
+		m, err := cpu.NewMachine(cfg, core.SpecASan, sc.Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Setup(m)
+		if res := m.Run(2_000_000); res.TimedOut {
+			t.Fatalf("LFBTagging=%v: RIDL timed out", on)
+		}
+		if leaked := m.Oracle.Leaked(); leaked == on {
+			t.Errorf("LFBTagging=%v: RIDL leaked=%v under SpecASan", on, leaked)
+		}
+	}
+}
+
 // TestTagBruteForceLimitation demonstrates §6's honest caveat: MTE has only
 // 16 tags, so an attacker who can retry (catching the tag faults) finds a
 // colliding key by brute force — SpecASan inherits this limitation from the

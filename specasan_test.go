@@ -2,6 +2,7 @@ package specasan
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -79,4 +80,22 @@ func TestHardwareCostTableRenders(t *testing.T) {
 	if !strings.Contains(out, "Total Core") {
 		t.Fatal("table incomplete")
 	}
+}
+
+// Example of the public API, compiled as part of the test suite.
+func Example() {
+	prog := MustAssemble(`
+_start:
+    MOV X0, #41
+    ADD X0, X0, #1
+    SVC #1
+    SVC #0
+`)
+	m, err := NewMachine(DefaultConfig(), SpecASan, prog)
+	if err != nil {
+		panic(err)
+	}
+	m.Run(100_000)
+	fmt.Printf("%s", m.Core(0).Output)
+	// Output: 42
 }
