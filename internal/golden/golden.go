@@ -225,7 +225,8 @@ func (ip *Interp) Snapshot() *State {
 // SnapshotSharing is Snapshot for a series of checkpoints of one walk that
 // are only ever resumed from: memory pages unchanged since prev, an earlier
 // snapshot, share prev's frames (mem.Image.CloneSharing), so neither
-// snapshot's memory may be written or released afterwards.
+// snapshot's memory may be written afterwards, and it is released only
+// through mem.ReleaseShared.
 func (ip *Interp) SnapshotSharing(prev *State) *State {
 	return ip.snapshot(ip.Mem.CloneSharing(prev.Mem))
 }

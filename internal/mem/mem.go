@@ -118,7 +118,8 @@ func (m *Image) Clone() *Image {
 // CloneSharing is Clone for images nobody writes again, such as a run's
 // checkpoints: each page whose bytes and tags equal those of prev's page at
 // the same address shares prev's frame instead of being copied. Neither the
-// copy nor prev may be written or released afterwards.
+// copy nor prev may be written afterwards, and both are released through
+// ReleaseShared.
 func (m *Image) CloneSharing(prev *Image) *Image {
 	c := &Image{numPages: m.numPages, tagged: m.tagged}
 	c.Tags = mte.NewStorageOn(c)
@@ -202,18 +203,46 @@ var (
 // Release hands every page frame and the page table back for later images
 // to reuse and leaves the image empty. The caller must hold no slice
 // FrameAt or FrameFor returned: the frame behind it now belongs to another
-// image.
-func (m *Image) Release() {
-	for _, p := range m.root {
-		if p != nil {
-			frames.Free(p)
+// image. An image that shares frames (CloneSharing) goes through
+// ReleaseShared instead.
+func (m *Image) Release() { ReleaseShared([]*Image{m}, nil) }
+
+// ReleaseShared releases the images in drop, whose frames CloneSharing may
+// have shared with one another and with the images in keep, such as some
+// of a run's checkpoints and the rest of them. Each frame goes back for
+// reuse once, and a frame an image in keep holds stays with it; Release
+// on each image in drop would hand a shared frame back twice, or hand back
+// one a kept image still reads. The images in drop are left empty.
+func ReleaseShared(drop, keep []*Image) {
+	for i, m := range drop {
+		later := drop[i+1:] // a frame they share is theirs to hand back
+		free := func(pn uint64, p *page) {
+			if !holds(keep, pn, p) && !holds(later, pn, p) {
+				frames.Free(p)
+			}
+		}
+		for pn, p := range m.root {
+			if p != nil {
+				free(uint64(pn), p)
+			}
+		}
+		for pn, p := range m.high {
+			free(pn, p)
+		}
+		roots.Free(m.root)
+		m.root, m.high, m.numPages, m.tagged = nil, nil, 0, 0
+	}
+}
+
+// holds reports whether an image of imgs holds frame p. CloneSharing
+// shares a frame only at the page number it had, so only pn is looked at.
+func holds(imgs []*Image, pn uint64, p *page) bool {
+	for _, o := range imgs {
+		if o.pageAt(pn) == p {
+			return true
 		}
 	}
-	for _, p := range m.high {
-		frames.Free(p)
-	}
-	roots.Free(m.root)
-	m.root, m.high, m.numPages, m.tagged = nil, nil, 0, 0
+	return false
 }
 
 // PageAddrs returns the base address of every allocated page, sorted — the

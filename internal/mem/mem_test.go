@@ -2,6 +2,10 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -218,5 +222,105 @@ func TestControllerTagTrafficBatched(t *testing.T) {
 	}
 	if tagged.TagFetches == 0 || tagged.TagFetches >= tagged.Fetches {
 		t.Fatalf("tag fetches %d of %d fills: batching broken", tagged.TagFetches, tagged.Fetches)
+	}
+}
+
+// TestReleaseSharedKeepsWhatKeptImagesHold builds a chain of checkpoints
+// the way a sampled run does, each a CloneSharing of the one before, so
+// that unchanged pages share one frame along the chain while changed ones
+// get their own. Releasing every other checkpoint must leave the others
+// byte for byte and tag for tag as they were (Free zeroes a frame, so a
+// shared frame released too early reads as zeros), and releasing the rest
+// must hand each distinct frame back once: a frame handed back twice would
+// come out of the pool twice.
+func TestReleaseSharedKeepsWhatKeptImagesHold(t *testing.T) {
+	const highAddr = uint64(rootPages+3) * PageBytes // in the overflow map
+	w := NewImage()
+	fill := func(addr uint64, v byte) {
+		w.Write(addr, bytes.Repeat([]byte{v}, PageBytes))
+		w.Tags.SetLock(addr+mte.GranuleBytes, mte.Tag(v&0xf|1))
+	}
+	for pn := uint64(0); pn < 8; pn++ {
+		fill(pn*PageBytes, byte(0x10+pn))
+	}
+	fill(highAddr, 0x20)
+
+	var chain, want []*Image
+	snap := func() {
+		if len(chain) == 0 {
+			chain = append(chain, w.Clone())
+		} else {
+			chain = append(chain, w.CloneSharing(chain[len(chain)-1]))
+		}
+		want = append(want, w.Clone())
+	}
+	snap()
+	fill(1*PageBytes, 0x31) // private in 1; 0, 2-7 and high shared with 0
+	fill(5*PageBytes, 0x35)
+	snap()
+	fill(2*PageBytes, 0x42) // private in 2; 1 and 5 shared with 1 only
+	snap()
+	fill(1*PageBytes, 0x51)
+	fill(9*PageBytes, 0x59) // a page only 3 maps
+	fill(highAddr, 0x50)
+	snap()
+	snap() // a checkpoint equal to the one before shares every frame
+	w.Release()
+
+	distinct := map[*page]bool{}
+	for _, img := range chain {
+		for _, addr := range img.PageAddrs() {
+			distinct[img.pageAt(addr/PageBytes)] = true
+		}
+	}
+	if len(distinct) != 9+2+1+3 {
+		t.Fatalf("%d distinct frames in the chain, want 15", len(distinct))
+	}
+
+	intact := func(i int) {
+		t.Helper()
+		got, ref := chain[i], want[i]
+		if g, r := fmt.Sprint(got.PageAddrs()), fmt.Sprint(ref.PageAddrs()); g != r {
+			t.Fatalf("checkpoint %d maps %s, want %s", i, g, r)
+		}
+		for _, addr := range ref.PageAddrs() {
+			gd, gl := got.FrameAt(addr)
+			rd, rl := ref.FrameAt(addr)
+			if !bytes.Equal(gd, rd) || !slices.Equal(gl, rl) {
+				t.Fatalf("checkpoint %d: page %#x changed after releasing others", i, addr)
+			}
+		}
+		if got.TaggedGranules() != ref.TaggedGranules() {
+			t.Fatalf("checkpoint %d: %d tagged granules, want %d", i, got.TaggedGranules(), ref.TaggedGranules())
+		}
+	}
+
+	// Thin the chain as a walk does, then drop a prefix and keep the rest.
+	ReleaseShared([]*Image{chain[1], chain[3]}, []*Image{chain[0], chain[2], chain[4]})
+	for _, i := range []int{1, 3} {
+		if pages := chain[i].PageAddrs(); len(pages) != 0 {
+			t.Fatalf("released checkpoint %d still maps %#x", i, pages)
+		}
+	}
+	for _, i := range []int{0, 2, 4} {
+		intact(i)
+	}
+	ReleaseShared([]*Image{chain[0]}, []*Image{chain[2], chain[4]})
+	intact(2)
+	intact(4)
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ReleaseShared([]*Image{chain[2], chain[4]}, nil)
+	seen := map[*page]bool{}
+	for range len(distinct) + 2 {
+		p := frames.New()
+		if seen[p] {
+			t.Fatalf("frame %p handed back twice", p)
+		}
+		seen[p] = true
+	}
+	for _, r := range want {
+		r.Release()
 	}
 }
